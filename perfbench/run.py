@@ -1,6 +1,6 @@
 """The toleq benchmark: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload fixed-points --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload fixed-points --seed 1 --seconds 28 --trace 0
 
 Run from the root of a checkout; toleq is imported from its ``src``. The
 workload runs in a fresh worker process (see worker.py), after
@@ -25,11 +25,7 @@ HERE = Path(__file__).resolve().parent
 OUT = HERE / "out"
 SETUP_SAMPLES = 3
 
-# The percentile reported as op_tail_ms: a whole percentile that leaves at
-# least ten samples beyond it in every run at 20 seconds, with room for a
-# run at two thirds of the usual speed (see README.md for the operation
-# counts).
-TAIL_PERCENTILE = {"fixed-points": 97, "rates": 99, "verify": 98, "cli-cold": 50}
+WORKLOADS = ("cli-cold", "fixed-points", "rates", "verify")
 
 
 class WorkerFailed(RuntimeError):
@@ -65,15 +61,30 @@ def spawn(args, setup_only: bool, timeout: float) -> tuple[float, dict, dict | N
     return setup_s, imports, result
 
 
-def end_to_end(workload: str, result: dict, setups: list[float]) -> dict:
+def usual_times(durations: list[float], round_size: int) -> list[float]:
+    """Each request's time at the machine's usual speed: the upper quartile
+    of its repeats over the run's rounds.
+
+    A round repeats the same requests in the same order, so request i of a
+    round is sample i modulo the round size. The machine runs most of the
+    time at its usual speed, with bursts up to twice as fast and stretches
+    up to 2.5 times slower (README.md, "Machine speed"). The upper quartile
+    stays at the usual speed while the bursts take under three quarters of
+    the run and the slow stretches under a quarter.
+    """
+    return [
+        statistics.quantiles(durations[i::round_size], n=4, method="inclusive")[2]
+        for i in range(round_size)
+    ]
+
+
+def end_to_end(result: dict, setups: list[float]) -> dict:
     durations = result["durations_ms"]
-    tail = TAIL_PERCENTILE[workload]
-    tail_ms = statistics.median(durations) if tail == 50 else statistics.quantiles(
-        durations, n=100, method="inclusive")[tail - 1]
+    usual = usual_times(durations, result["round_size"])
     metrics = {
-        "ops_per_s": (len(durations) / (sum(durations) / 1e3), "op/s"),
-        "op_p50_ms": (statistics.median(durations), "ms"),
-        "op_tail_ms": (tail_ms, "ms"),
+        "ops_per_s": (len(usual) / (sum(usual) / 1e3), "op/s"),
+        "op_p50_ms": (statistics.median(usual), "ms"),
+        "op_tail_ms": (max(usual), "ms"),
         "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mb": (result["peak_rss_mb"], "MB"),
     }
@@ -82,7 +93,7 @@ def end_to_end(workload: str, result: dict, setups: list[float]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(TAIL_PERCENTILE))
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -107,7 +118,7 @@ def main() -> int:
         for key in ("import_toleq_s", "import_numpy_s"):
             metrics[key.replace("_", ".", 1)]["value"] = statistics.median(i[key] for i in imports)
     else:
-        metrics = end_to_end(args.workload, result, setups)
+        metrics = end_to_end(result, setups)
     correct = result["valid_inputs"] and not result["unexpected"]
     record = dict(vars(args), setup_samples_s=setups, imports=imports, metrics=metrics, **result)
     with open(OUT / f"{args.workload}-s{args.seed}-t{args.trace}.json", "w", encoding="utf-8") as handle:

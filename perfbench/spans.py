@@ -5,6 +5,13 @@ every toleq module that holds it (so names that ``cli.py`` or the package
 re-export imported are wrapped too), and ``uninstall`` puts the originals
 back. A span records its duration and the time its child spans cover, so a
 layer's self time is the difference.
+
+A span opened inside an open span of the same name (``tolerance_profile_from_obj``
+calls ``distribution_from_obj``, both ``serialize.load``) adds only its self
+time: its duration is already in the outer span's total and is not counted
+again, nor is the call. A span named in ``COUNTED_APART`` that opens inside
+the span it names is part of that span's figure and is not recorded under
+its own name.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ for _name in ("game", "profile", "discrete_dist", "cdf", "tolerance_profile", "t
               "verdict", "dilemma_spec"):
     SPANS[("serialize", f"{_name}_to_obj")] = "serialize.dump"
 
+# Span -> enclosing span whose inner calls it does not report:
+# symmetric_alpha_intervals makes one 2x2 verdict per grid point, and those
+# are reported in equilibrium.alpha_intervals_ms, not as verdicts.
+COUNTED_APART = {"equilibrium.verify?": "equilibrium.alpha_intervals"}
+
 # Work counted per call, from its arguments and result: points a CDF call
 # evaluates, samples a rate draws, parameter values a sweep solves, bytes of
 # the payoff tensor a game holds (k**n * n * 8).
@@ -70,7 +82,7 @@ class Stat:
 class Tracer:
     def __init__(self):
         self.stats: dict[str, Stat] = defaultdict(Stat)
-        self.stack: list[list] = []  # per open span: [child seconds, span id]
+        self.stack: list[list] = []  # per open span: [child seconds, span id, name]
         self.spans: list | None = None  # span records, while recording
         self.next_id = 0
         self.patches: list = []
@@ -78,13 +90,15 @@ class Tracer:
     def _wrap(self, name: str, fn):
         tracer = self
         units = UNITS.get(name)
+        enclosing = COUNTED_APART.get(name)
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             span_id = tracer.next_id
             tracer.next_id += 1
             parent = tracer.stack[-1][1] if tracer.stack else None
-            tracer.stack.append([0.0, span_id])
+            open_names = {entry[2] for entry in tracer.stack}
+            tracer.stack.append([0.0, span_id, name])
             start = perf_counter()
             result = None
             try:
@@ -92,18 +106,20 @@ class Tracer:
                 return result
             finally:
                 end = perf_counter()
-                child, _ = tracer.stack.pop()
+                child = tracer.stack.pop()[0]
                 if tracer.stack:
                     tracer.stack[-1][0] += end - start
                 label = name
                 if name.endswith("?"):
                     label = name[:-1] + ("_pass" if getattr(result, "is_equilibrium", False) else "_fail")
-                stat = tracer.stats[label]
-                stat.calls += 1
-                stat.total += end - start
-                stat.own += end - start - child
-                if units is not None and result is not None:
-                    stat.units += units(args, kwargs, result)
+                if enclosing is None or enclosing not in open_names:
+                    stat = tracer.stats[label]
+                    stat.own += end - start - child
+                    if name not in open_names:
+                        stat.calls += 1
+                        stat.total += end - start
+                        if units is not None and result is not None:
+                            stat.units += units(args, kwargs, result)
                 if tracer.spans is not None:
                     tracer.spans.append((span_id, parent, label, start, end))
 
@@ -133,7 +149,7 @@ class Tracer:
         """An operation's own span, the parent of the library spans inside it."""
         span_id = self.next_id
         self.next_id += 1
-        self.stack.append([0.0, span_id])
+        self.stack.append([0.0, span_id, f"op:{kind}"])
         start = perf_counter()
         try:
             yield

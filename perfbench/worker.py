@@ -24,6 +24,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path(__file__).resolve().parent / "out"
+MIN_ROUNDS = 2  # so that every request has at least two repeats for its usual time
 
 
 def _rss_mb(who: int) -> float:
@@ -98,13 +99,15 @@ def main() -> int:
 
 
 def run(workload, args, tracer) -> dict:
-    """Repeat whole rounds until the run's seconds are spent."""
+    """Repeat whole rounds, at least MIN_ROUNDS, until the round end nearest
+    the run's seconds."""
     valid = getattr(workload, "validate_inputs", lambda: True)()
     durations, kinds = [], []
     attempted = failed = rounds = 0
     unexpected: list[str] = []
     overhead = []
-    deadline = perf_counter() + args.seconds
+    started = perf_counter()
+    deadline = started + args.seconds
     while True:
         if tracer and rounds == 0:
             tracer.spans = []
@@ -138,7 +141,10 @@ def run(workload, args, tracer) -> dict:
         rounds += 1
         if tracer and rounds == 1:
             tracer.spans, first_round = None, tracer.spans
-        if perf_counter() >= deadline:
+        # Stop at the round end nearest the deadline: the next round would
+        # end later past it than this one ends short of it.
+        now = perf_counter()
+        if rounds >= MIN_ROUNDS and now + (now - started) / rounds / 2 >= deadline:
             break
     if tracer:
         tracer.spans = first_round

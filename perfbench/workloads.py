@@ -301,8 +301,12 @@ class FixedPoints:
 # ---------------------------------------------------------------------------
 # rates
 
-UNIFORM_SAMPLES = 20_000
-CLOSED_FORM_SAMPLES = 200_000
+# Every call draws the samples that scripts/regularity_sweeps.py draws by
+# default. A pinned-belief or closed-form call skips the quadrature and costs
+# a fraction of a uniform-belief call, so those requests are short sweeps:
+# consecutive calls bundled into one operation, as the regularity sweeps make.
+SAMPLES = 50_000
+SWEEP_CALLS = {"pin": 4, "firms": 3, "closed": 4}
 
 
 def _library_spec(spec: dict):
@@ -336,37 +340,45 @@ class Rates:
     def __init__(self, seed: int, workdir: Path):
         rng = np.random.default_rng([seed, 2])
         plan = [("td", 2, None)] * 6 + [("bertrand", n, None) for n in (2, 3, 4, 2, 3, 4, 3, 4)]
-        plan += [("td", 2, "pin"), ("td", 2, "pin"), ("bertrand", 3, "pin"), ("bertrand", 4, "pin"),
-                 ("pd", 2, "closed"), ("pg", 2, "closed")]
+        plan += [("td", 2, "pin")] * 2 + [("bertrand", None, "firms")] * 2
+        plan += [("pd", 2, "closed"), ("pg", 2, "closed")]
         ops = [self._op(rng, kind, n, belief) for kind, n, belief in plan]
         order = rng.permutation(len(ops))
         self.ops = [ops[i] for i in order]
 
-    def _op(self, rng, kind: str, n: int, belief) -> Op:
-        spec = _random_spec(rng, kind, n)
+    def _op(self, rng, kind: str, n: int | None, belief) -> Op:
         q = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 1.0))
-        beta_point = float(rng.uniform(0.0, 1.0)) if belief == "pin" else None
-        samples = UNIFORM_SAMPLES if belief is None else CLOSED_FORM_SAMPLES // (2 if kind == "bertrand" else 1)
-        mc_seed = int(rng.integers(0, 2**31))
-        lib_spec = _library_spec(spec)
+        beta_point = float(rng.uniform(0.0, 1.0)) if belief in ("pin", "firms") else None
+        if belief == "firms":  # one market at n = 2, 3, 4 firms, as the firm-count sweep
+            market = _random_spec(rng, kind)
+            specs = [dict(market, n=firms) for firms in (2, 3, 4)]
+        else:
+            specs = [_random_spec(rng, kind, n) for _ in range(SWEEP_CALLS.get(belief, 1))]
+        calls = [(spec, _library_spec(spec), int(rng.integers(0, 2**31))) for spec in specs]
         dist = tq.RelativeTypeDistribution(q=q, beta_point=beta_point)
         memo: dict = {}
 
-        def check(rate) -> bool:
+        def run():
+            return [tq.cooperation_rate(lib_spec, dist, SAMPLES, mc_seed) for _, lib_spec, mc_seed in calls]
+
+        def check(rates) -> bool:
             if "exact" not in memo:
-                memo["exact"] = orc.cooperation_rate(spec, q, beta_point)
-                memo["first"] = (rate.mc_rate, rate.mc_stderr, rate.exact_rate)
-            exact = memo["exact"]
+                memo["exact"] = [orc.cooperation_rate(spec, q, beta_point) for spec, _, _ in calls]
+                memo["first"] = [(r.mc_rate, r.mc_stderr, r.exact_rate) for r in rates]
             return (
-                (rate.mc_rate, rate.mc_stderr, rate.exact_rate) == memo["first"]
-                and rate.exact_rate is not None
-                and abs(rate.exact_rate - exact) <= MATCH_TOL
-                and orc.mc_agrees(rate.mc_rate, exact, samples)
-                and abs(rate.mc_stderr - math.sqrt(rate.mc_rate * (1 - rate.mc_rate) / samples)) <= 1e-12
+                [(r.mc_rate, r.mc_stderr, r.exact_rate) for r in rates] == memo["first"]
+                and len(rates) == len(calls)
+                and all(
+                    rate.exact_rate is not None
+                    and abs(rate.exact_rate - exact) <= MATCH_TOL
+                    and orc.mc_agrees(rate.mc_rate, exact, SAMPLES)
+                    and abs(rate.mc_stderr - math.sqrt(rate.mc_rate * (1 - rate.mc_rate) / SAMPLES)) <= 1e-12
+                    for rate, exact in zip(rates, memo["exact"])
+                )
             )
 
-        name = f"rate-{kind}{n if kind == 'bertrand' else ''}-{belief or 'uniform'}"
-        return Op(name, lambda: tq.cooperation_rate(lib_spec, dist, samples, mc_seed), check)
+        name = f"rate-{kind}{n if kind == 'bertrand' and n else ''}-{belief or 'uniform'}"
+        return Op(name, run, check)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +387,16 @@ class Rates:
 UNITS = orc.MASS_UNITS
 ALPHA_GRID = 101
 REMAP_BUNDLE = 60
+# Strategy counts of the random games. The shapes are fixed, and only the
+# payoffs come from the seed, so an operation's cost does not hang on a drawn
+# game size.
+RANDOM_SHAPES = ((3, 4), (4, 4), (3, 3, 3))
+# A passing verdict costs about ten failing ones, so an alpha-interval call's
+# cost follows its share of passing grid points (from 1 to 95 of 101 with
+# free draws). Instances have ALPHA_ATOMS atoms and pass on ALPHA_PASSING of
+# the grid, so every seed makes calls of about the same cost.
+ALPHA_ATOMS = 4
+ALPHA_PASSING = (40, 60)
 
 
 def _composition(rng, total: int, parts: int) -> list[int]:
@@ -453,9 +475,8 @@ class Verify:
         for players, levels in ((6, 4), (4, 3)):
             params = {"levels": levels, "rho": float(rng.uniform(1.0 / players + 0.05, 0.95))}
             self._add_game("pg", params, tq.PublicGoods(players, params["rho"]), levels)
-        for _ in range(3):
-            n = int(rng.integers(2, 4))
-            counts = tuple(int(rng.integers(2, 5)) for _ in range(n))
+        for counts in RANDOM_SHAPES:
+            n = len(counts)
             payoffs = rng.integers(-5, 6, size=counts + (n,)).astype(float)
             game = tq.Game(tuple(tuple(f"s{i}" for i in range(k)) for k in counts), payoffs)
             self.games.append(("random", None, None, game))
@@ -592,13 +613,15 @@ class Verify:
         while True:
             dc_, dd_ = rng.uniform(0.2, 4.0, size=2)
             p = _pd_payoffs(rng, float(dc_), float(dd_))
-            m = int(rng.integers(1, 6))
+            m = ALPHA_ATOMS
             support = tuple(float(t) for t in np.sort(rng.uniform(0.0, 4.0, size=m)))
             probs = tuple(float(q) for q in rng.dirichlet(np.ones(m)))
             d_c, d_d = _deltas(p)
             if len(set(support)) == m and orc.symmetric_is_clear(d_c, d_d, support, probs, alphas):
-                break
-        want = orc.runs_of(alphas, [orc.symmetric_pass(d_c, d_d, support, probs, a) for a in alphas])
+                passing = [orc.symmetric_pass(d_c, d_d, support, probs, a) for a in alphas]
+                if ALPHA_PASSING[0] <= sum(passing) <= ALPHA_PASSING[1]:
+                    break
+        want = orc.runs_of(alphas, passing)
         game = tq.as_game(p)
         pi = tq.DiscreteToleranceProfile.iid(tq.DiscreteToleranceDist(support, probs), 2)
 
