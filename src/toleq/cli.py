@@ -220,6 +220,7 @@ def cmd_pd_solve(config: RunConfig) -> int:
             "has_zero_root": report.has_zero_root,
             "uniqueness_certified": report.uniqueness_certified,
             "classification": report.classification,
+            "method": report.method,
         }
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--b", "--c", "--d"):
         p.add_argument(flag, type=float, required=True)
     p.add_argument("--cdf", required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="intervals of the --out curve")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL_ROOT)
     common(p)
 

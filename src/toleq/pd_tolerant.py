@@ -8,21 +8,41 @@ cooperate does, the symmetric cooperation level solves
 
     1 - alpha = F(alpha * delta_c + (1 - alpha) * delta_d)
 
-which this module solves by grid scan plus bisection (continuous F), by
-exact piece enumeration (discrete tolerance distributions, where a solution
-may not exist), and for asymmetric two-player systems by composing the two
-response maps.
+The residual h(alpha) = 1 - alpha - F(gap(alpha)) changes form only where the
+linear gap crosses a knot of F, so the shipped CDF families are solved
+exactly between those breakpoints:
+
+- uniform and piecewise-linear F: h is linear on each piece, solved in
+  closed form;
+- truncated-exponential F: h is linear off the support of F and convex on
+  it; its minimum there, found in closed form, splits that piece into two
+  monotone halves that are bisected;
+- asymmetric two-player systems with uniform or piecewise-linear F on both
+  sides: the composed response is piecewise linear, solved the same way.
+
+h is evaluated at every breakpoint, so a root there, including a tangency,
+cannot be missed.  Any other ContinuousCdf subclass falls back to a grid scan
+plus bisection, and each report names its method.  Discrete tolerance
+distributions give a piecewise-constant response whose pieces are checked
+exactly; there a solution may not exist.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .games import Game
 from .numeric import epsnum
-from .tolerance import ContinuousCdf, DiscreteToleranceDist
+from .tolerance import (
+    ContinuousCdf,
+    DiscreteToleranceDist,
+    PiecewiseLinearCdf,
+    TruncatedExponentialCdf,
+    UniformCdf,
+)
 
 DEFAULT_GRID = 10_000
 DEFAULT_TOL_ROOT = 1e-12
@@ -42,6 +62,11 @@ class PdPayoffs:
     dd: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.cc, self.cd, self.dc, self.dd)):
+            raise ValueError(
+                "payoffs must be finite, got "
+                f"cc={self.cc}, cd={self.cd}, dc={self.dc}, dd={self.dd}"
+            )
         if not (self.dc > self.cc > self.dd > self.cd):
             raise ValueError(
                 "payoffs must satisfy dc > cc > dd > cd, got "
@@ -68,12 +93,16 @@ def as_game(p: PdPayoffs) -> Game:
     return Game((("C", "D"), ("C", "D")), payoffs)
 
 
+def _gap(p: PdPayoffs, alpha):
+    return alpha * p.delta_c + (1.0 - alpha) * p.delta_d
+
+
 def willingness_gap(p: PdPayoffs, alpha_other: float) -> float:
     """Defection gain against an opponent cooperating with probability alpha;
     the minimal tolerance at which cooperation is consistent."""
     if not 0.0 <= alpha_other <= 1.0:
         raise ValueError(f"cooperation probability must lie in [0, 1], got {alpha_other}")
-    return alpha_other * p.delta_c + (1.0 - alpha_other) * p.delta_d
+    return _gap(p, alpha_other)
 
 
 def cooperation_probability(p: PdPayoffs, cdf: ContinuousCdf, alpha_other: float) -> float:
@@ -83,6 +112,12 @@ def cooperation_probability(p: PdPayoffs, cdf: ContinuousCdf, alpha_other: float
 
 @dataclass(frozen=True)
 class FixedPointRoot:
+    """One root and the piece [a, b] of the residual that holds it.
+
+    A root at a breakpoint has the bracket (a, a); both endpoints of an
+    interval on which the residual vanishes carry that interval.
+    """
+
     alpha_star: float
     bracket: tuple[float, float]
     residual: float
@@ -91,10 +126,13 @@ class FixedPointRoot:
 
 @dataclass(frozen=True)
 class FixedPointReport:
+    """Roots of the symmetric fixed point; ``method`` is "exact" or "grid"."""
+
     roots: tuple[FixedPointRoot, ...]
     has_zero_root: bool
     uniqueness_certified: bool
     classification: str
+    method: str
 
 
 def _require_continuous(cdf) -> None:
@@ -102,6 +140,52 @@ def _require_continuous(cdf) -> None:
         raise TypeError("tolerance distribution has atoms; use solve_discrete")
     if not isinstance(cdf, ContinuousCdf):
         raise TypeError(f"expected a continuous tolerance CDF, got {type(cdf).__name__}")
+
+
+def _check_solver_args(grid: int, tol_root: float) -> None:
+    if grid < 1000:
+        raise ValueError("grid must have at least 1000 points")
+    if tol_root <= 0:
+        raise ValueError("root tolerance must be positive")
+
+
+def _linear_knots(cdf: ContinuousCdf):
+    """Knots of a piecewise-linear CDF (a uniform CDF has two), else None."""
+    if isinstance(cdf, UniformCdf):
+        return (cdf.lo, cdf.hi)
+    if isinstance(cdf, PiecewiseLinearCdf):
+        return cdf.xs
+    return None
+
+
+def _linear_crossings(x0, x1, y0, y1, targets) -> np.ndarray:
+    """Points strictly inside each [x0[k], x1[k]] where the line from y0[k]
+    to y1[k] meets one of the targets."""
+    x0, x1, y0, y1 = (np.array(v, dtype=float, ndmin=1) for v in (x0, x1, y0, y1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (np.asarray(targets, dtype=float)[None, :] - y0[:, None]) / (y1 - y0)[:, None]
+    inside = (s > 0.0) & (s < 1.0)
+    return (x0[:, None] + s * (x1 - x0)[:, None])[inside]
+
+
+def _breakpoints(p: PdPayoffs, knots) -> np.ndarray:
+    """0, 1 and every alpha between at which gap(alpha) crosses a knot."""
+    return np.union1d([0.0, 1.0], _linear_crossings(0.0, 1.0, p.delta_d, p.delta_c, knots))
+
+
+def _texp_minimum(p: PdPayoffs, cdf: TruncatedExponentialCdf) -> list[float]:
+    """Where h is smallest on the support of a truncated-exponential F.
+
+    There h'(a) = -1 - (delta_c - delta_d) F'(gap(a)) with F' decreasing, so h
+    is convex and h' vanishes at most once, which needs delta_c < delta_d.
+    """
+    slope = p.delta_c - p.delta_d
+    if slope >= 0:
+        return []
+    norm = -math.expm1(-cdf.rate * cdf.cap)
+    x = cdf.shift + math.log(-slope * cdf.rate / norm) / cdf.rate
+    alpha = (x - p.delta_d) / slope
+    return [alpha] if cdf.shift < x < cdf.shift + cdf.cap and 0.0 < alpha < 1.0 else []
 
 
 def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
@@ -119,36 +203,72 @@ def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(fn, alphas: np.ndarray, values: np.ndarray, tol_root: float) -> list[FixedPointRoot]:
-    """Roots of fn on the grid: exact grid hits plus bisected sign changes.
-
-    A grid hit whose neighbors share a sign is flagged marginal (the curve
-    touches zero without crossing).
+def _line_solver(fn):
+    """Root of fn on a piece where it is linear: where the chord through the
+    piece's ends meets zero, then one Newton step along the chord.  The step
+    removes the rounding that an end carries when a steep piece of F meets it.
     """
-    candidates: list[FixedPointRoot] = []
-    n = len(alphas)
-    for k in range(n):
-        if abs(values[k]) <= tol_root:
-            left = next((values[j] for j in range(k - 1, -1, -1) if abs(values[j]) > tol_root), None)
-            right = next((values[j] for j in range(k + 1, n) if abs(values[j]) > tol_root), None)
-            marginal = bool(left is not None and right is not None and (left > 0) == (right > 0))
-            candidates.append(
-                FixedPointRoot(float(alphas[k]), (float(alphas[k]), float(alphas[k])), abs(float(values[k])), marginal)
-            )
-    for k in range(n - 1):
-        a, b = values[k], values[k + 1]
-        if abs(a) > tol_root and abs(b) > tol_root and (a > 0) != (b > 0):
-            root = _bisect(fn, float(alphas[k]), float(alphas[k + 1]), float(a))
-            candidates.append(
-                FixedPointRoot(root, (float(alphas[k]), float(alphas[k + 1])), abs(fn(root)), False)
-            )
-    candidates.sort(key=lambda r: r.alpha_star)
-    spacing = float(alphas[1] - alphas[0]) if n > 1 else 1.0
+
+    def solve(a: float, b: float, f_a: float, f_b: float) -> float:
+        slope = (f_b - f_a) / (b - a)
+        root = a - f_a / slope
+        return min(max(root - fn(root) / slope, a), b)
+
+    return solve
+
+
+def _bisector(fn):
+    return lambda a, b, f_a, f_b: _bisect(fn, a, b, f_a)
+
+
+def _roots_on_pieces(
+    points: np.ndarray, values: np.ndarray, fn, tol_root: float, solve_piece
+) -> list[FixedPointRoot]:
+    """Roots of fn from its values at sorted points, fn monotone between them.
+
+    A point with |fn| <= tol_root is a root.  A maximal run of such points is
+    an interval on which fn vanishes, reported by its two endpoints.  Such a
+    root is marginal when fn has the same strict sign on both sides of it
+    (the curve touches zero without crossing).  Every other piece whose ends
+    have opposite signs holds one root, found by
+    solve_piece(a, b, fn(a), fn(b)).
+    """
+    zero = np.abs(values) <= tol_root
+    positive = values > 0.0
+    last = len(points) - 1
+    roots: list[FixedPointRoot] = []
+    starts = np.flatnonzero(zero & ~np.concatenate(([False], zero[:-1])))
+    ends = np.flatnonzero(zero & ~np.concatenate((zero[1:], [False])))
+    for s, e in zip(starts, ends):
+        marginal = bool(0 < s and e < last and positive[s - 1] == positive[e + 1])
+        bracket = (float(points[s]), float(points[e]))
+        for k in (s, e) if e > s else (s,):
+            roots.append(FixedPointRoot(float(points[k]), bracket, abs(float(values[k])), marginal))
+    cells = np.flatnonzero(~zero[:-1] & ~zero[1:] & (positive[:-1] != positive[1:]))
+    inside = [
+        solve_piece(float(points[k]), float(points[k + 1]), float(values[k]), float(values[k + 1]))
+        for k in cells
+    ]
+    if inside:
+        residuals = np.abs(fn(np.array(inside)))
+        for k, root, residual in zip(cells, inside, residuals):
+            roots.append(FixedPointRoot(root, (float(points[k]), float(points[k + 1])), float(residual)))
+    return sorted(roots, key=lambda r: r.alpha_star)
+
+
+def _scan_roots(fn, grid: int, tol_root: float) -> list[FixedPointRoot]:
+    """Roots of a vectorised fn on [0, 1] by grid scan: the fallback for CDFs
+    of unknown shape, which can miss roots closer together than the grid.
+
+    Candidates closer than 0.75 grid spacing merge into the one that is not
+    marginal and has the smallest residual.
+    """
+    alphas = np.linspace(0.0, 1.0, grid + 1)
+    spacing = float(alphas[1] - alphas[0])
     merged: list[FixedPointRoot] = []
-    for root in candidates:
+    for root in _roots_on_pieces(alphas, fn(alphas), fn, tol_root, _bisector(fn)):
         if merged and root.alpha_star - merged[-1].alpha_star < 0.75 * spacing:
-            best = min((merged[-1], root), key=lambda r: (r.marginal, r.residual))
-            merged[-1] = best
+            merged[-1] = min((merged[-1], root), key=lambda r: (r.marginal, r.residual))
         else:
             merged.append(root)
     return merged
@@ -161,30 +281,40 @@ def solve_symmetric(
     tol_root: float = DEFAULT_TOL_ROOT,
     eps: float | None = None,
 ) -> FixedPointReport:
-    """All symmetric cooperation levels: roots of 1 - a - F(gap(a)) on [0, 1].
+    """All symmetric cooperation levels: roots of h(a) = 1 - a - F(gap(a)) on [0, 1].
 
-    At least one root always exists: the residual is >= 0 at alpha = 0 and
-    <= 0 at alpha = 1, and F is continuous.
+    At least one root always exists: h is >= 0 at alpha = 0 and <= 0 at
+    alpha = 1, and F is continuous.  For uniform, piecewise-linear and
+    truncated-exponential F the roots are exact (method "exact"); any other
+    CDF is scanned on a grid of ``grid`` intervals (method "grid").  A
+    maximal interval on which h is identically zero is reported by its two
+    endpoints, each bracketed by the interval.
     """
     _require_continuous(cdf)
-    if grid < 1000:
-        raise ValueError("grid must have at least 1000 points")
-    if tol_root <= 0:
-        raise ValueError("root tolerance must be positive")
+    _check_solver_args(grid, tol_root)
     e = epsnum(eps)
 
-    def h(alpha: float) -> float:
-        return 1.0 - alpha - cdf(willingness_gap(p, alpha))
+    def h(alpha):
+        return 1.0 - alpha - cdf(_gap(p, alpha))
 
-    alphas = np.linspace(0.0, 1.0, grid + 1)
-    gaps = alphas * p.delta_c + (1.0 - alphas) * p.delta_d
-    values = 1.0 - alphas - cdf(gaps)
-    roots = _scan_roots(h, alphas, values, tol_root)
+    knots = _linear_knots(cdf)
+    method = "exact"
+    if knots is not None:
+        points = _breakpoints(p, knots)
+        roots = _roots_on_pieces(points, h(points), h, tol_root, _line_solver(h))
+    elif isinstance(cdf, TruncatedExponentialCdf):
+        support = (cdf.shift, cdf.shift + cdf.cap)
+        points = np.union1d(_breakpoints(p, support), _texp_minimum(p, cdf))
+        roots = _roots_on_pieces(points, h(points), h, tol_root, _bisector(h))
+    else:
+        roots = _scan_roots(h, grid, tol_root)
+        method = "grid"
     return FixedPointReport(
         roots=tuple(roots),
         has_zero_root=cdf(p.delta_d) >= 1.0 - e,
         uniqueness_certified=p.delta_c > p.delta_d,
         classification="unique" if p.delta_c > p.delta_d else "possibly-multiple",
+        method=method,
     )
 
 
@@ -193,7 +323,7 @@ def fixed_point_curve(p: PdPayoffs, cdf: ContinuousCdf, grid: int = 1000):
     _require_continuous(cdf)
     alphas = np.linspace(0.0, 1.0, grid + 1)
     lhs = 1.0 - alphas
-    rhs = cdf(alphas * p.delta_c + (1.0 - alphas) * p.delta_d)
+    rhs = cdf(_gap(p, alphas))
     return alphas, lhs, np.asarray(rhs)
 
 
@@ -265,28 +395,36 @@ def solve_asymmetric(
 
     Player i cooperates with the probability that their own tolerance covers
     their own gap at the opponent's cooperation level; substituting player
-    2's response into player 1's equation leaves one unknown.
+    2's response R2 into player 1's equation leaves one unknown, a root of
+    R1(R2(alpha1)) - alpha1.  With uniform or piecewise-linear F on both
+    sides that residual is piecewise linear and solved exactly: its
+    breakpoints are where gap2 crosses a knot of F2, and the preimages under
+    the monotone R2 of the alpha2 at which gap1 crosses a knot of F1.  Other
+    CDFs are scanned on a grid of ``grid`` intervals.  As in solve_symmetric,
+    an interval of roots is reported by its two endpoints.
     """
     _require_continuous(cdf1)
     _require_continuous(cdf2)
-    if grid < 1000:
-        raise ValueError("grid must have at least 1000 points")
+    _check_solver_args(grid, tol_root)
 
-    def respond1(alpha2: float) -> float:
-        return 1.0 - cdf1(willingness_gap(p1, alpha2))
+    def respond1(alpha2):
+        return 1.0 - cdf1(_gap(p1, alpha2))
 
-    def respond2(alpha1: float) -> float:
-        return 1.0 - cdf2(willingness_gap(p2, alpha1))
+    def respond2(alpha1):
+        return 1.0 - cdf2(_gap(p2, alpha1))
 
-    def phi(alpha1: float) -> float:
+    def phi(alpha1):
         return respond1(respond2(alpha1)) - alpha1
 
-    alphas = np.linspace(0.0, 1.0, grid + 1)
-    gaps2 = alphas * p2.delta_c + (1.0 - alphas) * p2.delta_d
-    a2 = 1.0 - np.asarray(cdf2(gaps2))
-    gaps1 = a2 * p1.delta_c + (1.0 - a2) * p1.delta_d
-    values = (1.0 - np.asarray(cdf1(gaps1))) - alphas
-    roots = _scan_roots(phi, alphas, values, tol_root)
+    knots1, knots2 = _linear_knots(cdf1), _linear_knots(cdf2)
+    if knots1 is None or knots2 is None:
+        roots = _scan_roots(phi, grid, tol_root)
+    else:
+        points = _breakpoints(p2, knots2)
+        r2 = respond2(points)
+        targets = _linear_crossings(0.0, 1.0, p1.delta_d, p1.delta_c, knots1)
+        points = np.union1d(points, _linear_crossings(points[:-1], points[1:], r2[:-1], r2[1:], targets))
+        roots = _roots_on_pieces(points, phi(points), phi, tol_root, _line_solver(phi))
     return [(r.alpha_star, respond2(r.alpha_star)) for r in roots]
 
 

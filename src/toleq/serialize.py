@@ -8,6 +8,7 @@ payoff vector at that pure profile.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -266,9 +267,18 @@ def dilemma_spec_from_obj(obj: Any, path: str = "spec"):
 
 
 def load_json(path: str) -> Any:
+    """Parse a JSON file, rejecting NaN, Infinity and -Infinity (which
+    Python's json module accepts) and numbers too large for a float."""
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise SchemaError(path, f"non-finite number {text} is not allowed")
+        return value
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except json.JSONDecodeError as exc:

@@ -273,6 +273,11 @@ class ContinuousCdf:
         raise NotImplementedError
 
 
+def _check_finite(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"CDF parameters must be finite, got {values}")
+
+
 def _check_shift(delta: float) -> float:
     delta = float(delta)
     if delta < 0:
@@ -288,6 +293,7 @@ class UniformCdf(ContinuousCdf):
     hi: float
 
     def __post_init__(self) -> None:
+        _check_finite(self.lo, self.hi)
         if not (0 <= self.lo < self.hi):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -311,6 +317,7 @@ class PiecewiseLinearCdf(ContinuousCdf):
         ys = tuple(float(v) for v in self.ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need at least two aligned knots")
+        _check_finite(*xs, *ys)
         if xs[0] < 0:
             raise ValueError("tolerance domain starts at 0 or above")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -339,6 +346,7 @@ class TruncatedExponentialCdf(ContinuousCdf):
     shift: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self.rate, self.cap, self.shift)
         if self.rate <= 0 or self.cap <= 0 or self.shift < 0:
             raise ValueError("need rate > 0, cap > 0, shift >= 0")
 

@@ -165,6 +165,43 @@ def test_pd_solve_rejects_bad_ordering(tmp_path, capsys):
     assert code == 2
 
 
+def test_pd_solve_structured_output_names_method(tmp_path, capsys):
+    cdf = make_cdf_file(tmp_path, {"type": "truncated_exponential", "rate": 1.5, "cap": 3.0})
+    code = main(
+        ["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", cdf,
+         "--format", "structured-object"]
+    )
+    assert code == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["method"] == "exact"
+    assert [root["bracket"][0] <= root["alpha_star"] <= root["bracket"][1] for root in obj["roots"]] == [True]
+
+
+NON_FINITE_DOCUMENTS = {
+    "profile": '{"strategies": [[NaN, NaN], [NaN, NaN]]}',
+    "pi": '{"players": [{"type": "discrete", "support": [0.0, NaN], "probs": [0.5, 0.5]},'
+          ' {"type": "discrete", "support": [0.0, 3.0], "probs": [0.5, 0.5]}]}',
+    "game": '{"players": 2, "strategies": [["C", "D"], ["C", "D"]],'
+            ' "payoffs": [[[3, 3], [-2, Infinity]], [[5, -2], [0, 0]]]}',
+    "cdf": '{"type": "uniform", "lo": 0, "hi": -Infinity}',
+}
+
+
+@pytest.mark.parametrize("which", sorted(NON_FINITE_DOCUMENTS))
+def test_non_finite_documents_exit_2_naming_the_file(which, pd_files, tmp_path, capsys):
+    bad = tmp_path / f"nonfinite_{which}.json"
+    bad.write_text(NON_FINITE_DOCUMENTS[which])
+    if which == "cdf":
+        args = ["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", str(bad)]
+    else:
+        files = {"game": pd_files["game"], "profile": pd_files["profile_file"](0.0, "nash.json"),
+                 "pi": pd_files["pi"], which: str(bad)}
+        args = ["verify", "--game", files["game"], "--profile", files["profile"], "--pi", files["pi"]]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and captured.out == ""
+
+
 def test_threshold_command(capsys):
     code = main(["threshold", "--kind", "pg", "--n", "3", "--rho", "0.4"])
     assert code == 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
@@ -275,3 +275,221 @@ def test_unique_root_when_delta_c_dominates(seed):
     assert report.uniqueness_certified
     assert len(report.roots) == 1
     assert report.roots[0].residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Exact solvers for the shipped CDF families, and the grid fallback
+
+
+class HiddenCdf(tq.ContinuousCdf):
+    """Evaluates another CDF but hides its family, so solvers fall back to the grid."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def _evaluate(self, x):
+        return self.inner._evaluate(x)
+
+
+class SmoothstepCdf(tq.ContinuousCdf):
+    """F = 3t^2 - 2t^3 with t the position in [lo, hi]: a smooth CDF of no shipped family."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def _evaluate(self, x):
+        t = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return t * t * (3.0 - 2.0 * t)
+
+
+TANGENT_PAYOFFS = tq.PdPayoffs(3, -1, 4, 2)  # delta_c = 1, delta_d = 3
+TANGENT_CDF = tq.PiecewiseLinearCdf((0, 1.49995, 1.9999, 4.0001), (0, 0, 0.49995, 1))
+ZERO_PIECE_CDF = tq.PiecewiseLinearCdf((0, 1, 2, 3), (0, 0, 1, 1))  # h = 0 on [0, 1] with MULTI_PAYOFFS
+
+DENSE = np.linspace(0.0, 1.0, 200_001)
+
+
+def residual_fn(p, cdf):
+    return lambda a: 1.0 - a - cdf(a * p.delta_c + (1.0 - a) * p.delta_d)
+
+
+def random_payoffs(rng, delta_c, delta_d):
+    cc = float(rng.uniform(1.0, 4.0))
+    u = float(rng.uniform(0.2, 2.0))
+    return tq.PdPayoffs(cc=cc, cd=cc - delta_d - u, dc=cc + delta_c, dd=cc - u)
+
+
+def random_piecewise_linear(rng, p, steep):
+    if steep:  # a staircase inside the gap range: several crossings when delta_c < delta_d
+        lo, hi = sorted((p.delta_c, p.delta_d))
+        inner = np.sort(rng.uniform(lo, hi, size=4))
+        steps = np.cumsum(rng.uniform((0.0, 0.25, 0.0, 0.3), (0.15, 0.45, 0.1, 0.5)))
+        xs = (float(rng.uniform(0.0, lo)), *map(float, inner), hi + float(rng.uniform(0.1, 1.0)))
+        ys = (0.0, *map(float, np.minimum(steps, 0.98)), 1.0)
+        return tq.PiecewiseLinearCdf(xs, ys)
+    m = int(rng.integers(2, 7))
+    xs = np.sort(rng.uniform(0.0, 5.0, size=m))
+    ys = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size=m - 2)), [1.0]))
+    if m == 2 and rng.random() < 0.5:
+        return tq.UniformCdf(float(xs[0]), float(xs[1]))
+    return tq.PiecewiseLinearCdf(tuple(map(float, xs)), tuple(map(float, ys)))
+
+
+def grid_resolves(fn, roots, sep=2e-3, probe=1e-3, floor=1e-5):
+    """Whether a grid of spacing 1e-4 sees every root: apart, crossing, and
+    with fn clear of zero elsewhere on a dense grid."""
+    if any(b - a < sep for a, b in zip(roots, roots[1:])):
+        return False
+    for r in roots:
+        if r in (0.0, 1.0):
+            if abs(fn(probe if r == 0.0 else 1.0 - probe)) < floor:
+                return False
+            continue
+        left, right = fn(r - probe), fn(r + probe)
+        if min(r, 1.0 - r) < sep or min(abs(left), abs(right)) < floor or (left > 0) == (right > 0):
+            return False
+    away = np.all(np.abs(DENSE[:, None] - np.asarray(roots)[None, :]) > sep, axis=1)
+    return not np.any(away & (np.abs(fn(DENSE)) < 1e-6))
+
+
+def assert_dense_crossings_found(fn, alphas):
+    """Every sign change of fn on DENSE lies in a cell that holds a reported root."""
+    values = fn(DENSE)
+    cells = np.flatnonzero((values[:-1] > 0) & (values[1:] < 0) | (values[:-1] < 0) & (values[1:] > 0))
+    for k in cells:
+        assert any(DENSE[k] - 1e-12 <= a <= DENSE[k + 1] + 1e-12 for a in alphas), DENSE[k]
+
+
+def test_tangent_root_at_a_knot_is_found():
+    report = tq.solve_symmetric(TANGENT_PAYOFFS, TANGENT_CDF)
+    assert [r.alpha_star for r in report.roots] == [pytest.approx(0.50005, abs=1e-12), 1.0]
+    assert [r.marginal for r in report.roots] == [True, False]
+    assert all(r.residual <= 1e-12 for r in report.roots)
+    assert report.method == "exact"
+
+
+def test_zero_piece_is_reported_by_its_endpoints():
+    report = tq.solve_symmetric(MULTI_PAYOFFS, ZERO_PIECE_CDF)
+    assert [(r.alpha_star, r.bracket) for r in report.roots] == [(0.0, (0.0, 1.0)), (1.0, (0.0, 1.0))]
+    assert not any(r.marginal for r in report.roots)
+    # the grid fallback collapses its run of grid hits the same way
+    grid = tq.solve_symmetric(MULTI_PAYOFFS, HiddenCdf(ZERO_PIECE_CDF))
+    assert grid.method == "grid"
+    assert [r.alpha_star for r in grid.roots] == [0.0, 1.0]
+    # the asymmetric system with R2 = identity vanishes everywhere too
+    pairs = tq.solve_asymmetric(MULTI_PAYOFFS, MULTI_PAYOFFS, ZERO_PIECE_CDF, ZERO_PIECE_CDF)
+    assert pairs == [(0.0, pytest.approx(0.0, abs=1e-12)), (1.0, pytest.approx(1.0, abs=1e-12))]
+
+
+def test_interior_zero_piece_between_crossing_signs():
+    # h = 0 for alpha in [0.2, 0.5] (gap in [1.5, 1.8]), positive left, negative right
+    cdf = tq.PiecewiseLinearCdf((0, 1.5, 1.8, 2.5), (0, 0.5, 0.8, 1))
+    report = tq.solve_symmetric(MULTI_PAYOFFS, cdf)
+    assert [r.alpha_star for r in report.roots] == [pytest.approx(0.2, abs=1e-12), pytest.approx(0.5, abs=1e-12)]
+    assert all(r.bracket == pytest.approx((0.2, 0.5), abs=1e-12) and not r.marginal for r in report.roots)
+
+
+def test_method_names_the_solver():
+    for cdf in (tq.UniformCdf(0, 4), MULTI_CDF, tq.TruncatedExponentialCdf(1.5, 3.0)):
+        assert tq.solve_symmetric(EXAMPLE, cdf).method == "exact"
+    assert tq.solve_symmetric(EXAMPLE, SmoothstepCdf(0, 4)).method == "grid"
+
+
+def test_texp_tangency_is_found():
+    # choose delta_d so that h touches zero at its minimum on the support of F
+    rate, cap, shift, slope = 1.5, 3.0, 0.2, -1.2
+    norm = -np.expm1(-rate * cap)
+    x_min = shift + np.log(-slope * rate / norm) / rate
+    alpha_min = 1.0 - (1.0 - norm / (-slope * rate)) / norm
+    delta_d = x_min - alpha_min * slope
+    p = tq.PdPayoffs(cc=3.0, cd=2.0 - delta_d, dc=3.0 + delta_d + slope, dd=2.0)
+    cdf = tq.TruncatedExponentialCdf(rate, cap, shift)
+    report = tq.solve_symmetric(p, cdf)
+    assert [r.alpha_star for r in report.roots] == [pytest.approx(alpha_min, abs=1e-9), 1.0]
+    assert [r.marginal for r in report.roots] == [True, False]
+    # the grid never sees h cross zero near the minimum
+    assert [r.alpha_star for r in tq.solve_symmetric(p, HiddenCdf(cdf)).roots] == [1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_exact_roots_match_grid_fallback(seed, steep):
+    rng = np.random.default_rng(seed)
+    if steep:
+        delta_c, delta_d = sorted(rng.uniform(0.3, 3.5, size=2))
+    else:
+        delta_c, delta_d = rng.uniform(0.2, 4.0, size=2)
+    p = random_payoffs(rng, float(delta_c), float(delta_d))
+    cdf = random_piecewise_linear(rng, p, steep)
+    exact = tq.solve_symmetric(p, cdf)
+    alphas = [r.alpha_star for r in exact.roots]
+    assert exact.method == "exact" and alphas
+    assert all(r.residual <= 1e-9 and r.bracket[0] <= r.alpha_star <= r.bracket[1] for r in exact.roots)
+    assert_dense_crossings_found(residual_fn(p, cdf), alphas)
+    assume(grid_resolves(residual_fn(p, cdf), alphas))
+    grid = tq.solve_symmetric(p, HiddenCdf(cdf))
+    assert grid.method == "grid"
+    assert [r.alpha_star for r in grid.roots] == pytest.approx(alphas, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_texp_roots_match_dense_scan(seed):
+    rng = np.random.default_rng(seed)
+    delta_c, delta_d = rng.uniform(0.2, 4.0, size=2)
+    p = random_payoffs(rng, float(delta_c), float(delta_d))
+    cdf = tq.TruncatedExponentialCdf(
+        float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.0, 2.0))
+    )
+    report = tq.solve_symmetric(p, cdf)
+    alphas = [r.alpha_star for r in report.roots]
+    assert report.method == "exact" and alphas
+    assert all(r.residual <= 1e-9 and r.bracket[0] <= r.alpha_star <= r.bracket[1] for r in report.roots)
+    assert_dense_crossings_found(residual_fn(p, cdf), alphas)
+    # h is convex on the support of F, so no more than two roots lie strictly inside (0, 1)
+    assert sum(0.0 < a < 1.0 for a in alphas) <= 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_exact_asymmetric_pairs_solve_both_responses(seed, steep):
+    rng = np.random.default_rng(seed)
+    players = []
+    for _ in range(2):
+        delta_c, delta_d = sorted(rng.uniform(0.3, 3.5, size=2)) if steep else rng.uniform(0.2, 4.0, size=2)
+        p = random_payoffs(rng, float(delta_c), float(delta_d))
+        players.append((p, random_piecewise_linear(rng, p, steep)))
+    (p1, f1), (p2, f2) = players
+    pairs = tq.solve_asymmetric(p1, p2, f1, f2)
+    assert pairs
+
+    def respond(p, cdf, a):
+        return 1.0 - cdf(a * p.delta_c + (1.0 - a) * p.delta_d)
+
+    for a1, a2 in pairs:
+        assert a1 == pytest.approx(respond(p1, f1, a2), abs=1e-9)
+        assert a2 == pytest.approx(respond(p2, f2, a1), abs=1e-9)
+    assert_dense_crossings_found(lambda a: respond(p1, f1, respond(p2, f2, a)) - a, [a1 for a1, _ in pairs])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_grid_fallback_on_a_smooth_cdf(seed):
+    rng = np.random.default_rng(seed)
+    delta_c, delta_d = rng.uniform(0.2, 4.0, size=2)
+    p = random_payoffs(rng, float(delta_c), float(delta_d))
+    lo = float(rng.uniform(0.0, 2.0))
+    cdf = SmoothstepCdf(lo, lo + float(rng.uniform(0.5, 4.0)))
+    report = tq.solve_symmetric(p, cdf)
+    assert report.method == "grid" and report.roots
+    assert all(r.residual <= 1e-9 and r.bracket[0] <= r.alpha_star <= r.bracket[1] for r in report.roots)
+    assert_dense_crossings_found(residual_fn(p, cdf), [r.alpha_star for r in report.roots])
+    pairs = tq.solve_asymmetric(p, p, cdf, cdf)
+    assert any(a1 == pytest.approx(a2, abs=1e-9) for a1, a2 in pairs)
+
+
+def test_non_finite_payoffs_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        tq.PdPayoffs(cc=3, cd=-1, dc=float("inf"), dd=0)
+    with pytest.raises(ValueError, match="finite"):
+        tq.PdPayoffs(cc=float("nan"), cd=-1, dc=5, dd=0)

@@ -96,6 +96,15 @@ def test_malformed_json_reports_position(tmp_path):
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_rejected(tmp_path, number):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(f'{{"type": "uniform", "lo": 0, "hi": {number}}}')
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.load_json(str(path))
+    assert err.value.path == str(path) and number in str(err.value)
+
+
 def test_payoff_tensor_layout_is_player_major():
     built = tq.build_game(tq.PrisonersDilemma(5, 2))
     obj = serialize.game_to_obj(built.game)

@@ -193,6 +193,19 @@ def test_truncated_exponential_cdf():
     assert shifted(2.5) == pytest.approx(cdf(1.5))
 
 
+def test_non_finite_cdf_parameters_rejected():
+    inf, nan = float("inf"), float("nan")
+    for make in (
+        lambda: tq.UniformCdf(0.0, inf),
+        lambda: tq.PiecewiseLinearCdf((0.0, nan, 2.0), (0.0, 0.5, 1.0)),
+        lambda: tq.PiecewiseLinearCdf((0.0, inf), (0.0, 1.0)),
+        lambda: tq.TruncatedExponentialCdf(rate=nan, cap=3.0),
+        lambda: tq.TruncatedExponentialCdf(rate=1.0, cap=inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 def test_leftward_shift_rejected():
     with pytest.raises(ValueError):
         tq.UniformCdf(0.0, 1.0).shifted(-0.5)
