@@ -8,7 +8,7 @@ parameter sweeps as CSV).
 Exit codes: 0 success or affirmative verdict, 1 negative verdict
 (not an equilibrium, dominance failure, non-existence, will not cooperate),
 2 usage or input error.  The TOLEQ_EPSNUM environment variable (or the
---epsnum flag, which wins) overrides the comparison tolerance.
+--epsnum flag, which wins) overrides the comparison tolerance for one run.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .dilemmas import (
     will_cooperate,
 )
 from .equilibrium import verify_tolerant_equilibrium
-from .numeric import set_epsnum
+from .numeric import reset_epsnum, set_epsnum
 from .pd_tolerant import (
     DEFAULT_GRID,
     DEFAULT_TOL_ROOT,
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             dest="fmt",
-            choices=("text", "csv", "structured-object"),
+            choices=("text", "structured-object"),
             default="text",
         )
 
@@ -408,9 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     fields = {f for f in RunConfig.__dataclass_fields__}
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
     epsnum_override = args.epsnum if args.epsnum is not None else os.environ.get("TOLEQ_EPSNUM")
+    token = None
     try:
         if epsnum_override is not None:
-            set_epsnum(float(epsnum_override))
+            token = set_epsnum(float(epsnum_override))
         return _COMMANDS[config.command](config)
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")
@@ -418,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if token is not None:
+            reset_epsnum(token)
 
 
 def entrypoint() -> None:

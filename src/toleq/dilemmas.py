@@ -5,8 +5,11 @@ welfare-maximizing profile (everyone cooperates).  ``cooperation_threshold``
 gives the minimal tolerance that makes cooperating consistent, in closed
 form; ``build_game`` materializes the full payoff tensor so the closed forms
 can be cross-checked against raw regrets.  Cooperation rates over relative
-types are available both by exact integration (uniform relative tolerance,
-uniform or pinned belief) and by seeded Monte Carlo.
+types are available both exactly (uniform relative tolerance, uniform or
+pinned belief) and by seeded Monte Carlo.  An exact rate under a uniform
+belief integrates a piecewise polynomial: the pieces end at real roots of
+explicit polynomials, and Gauss-Legendre with enough nodes for each piece's
+degree integrates every piece without error beyond rounding.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from numpy.polynomial import legendre
+from numpy.polynomial import polynomial as poly
 
 from .games import Game, MixedProfile, MixedStrategy
 from .numeric import epsnum
@@ -277,7 +280,7 @@ def will_cooperate(spec: DilemmaSpec, rel_type: RelativeType, eps: float | None 
     return relative_to_absolute(spec, rel_type.t_rel) >= threshold - epsnum(eps)
 
 
-Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+Sampler = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -309,29 +312,55 @@ class RelativeTypeDistribution:
         return t_rel, beta, is_c
 
 
-def _sign_change_points(fn: Callable[[np.ndarray], np.ndarray], scan: int = 4097) -> list[float]:
-    """Roots of fn on [0, 1], located by scanning and bracketing."""
-    xs = np.linspace(0.0, 1.0, scan)
-    vals = np.asarray(fn(xs), dtype=float)
-    roots = []
-    for i in range(scan - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(lambda x: float(fn(np.asarray(x))), xs[i], xs[i + 1], xtol=1e-14)))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-    return roots
+def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[np.ndarray, np.ndarray]:
+    """Power-basis coefficients of the two polynomials in beta whose maximum
+    is the cooperation threshold.
+
+    Traveler's Dilemma: undercutting by one, beta*(b-1), against claiming the
+    floor, b - beta*(H-L).  Bertrand: undercutting, beta^(n-1)*(H-1), against
+    pricing at the floor, bertrand_f(n, beta)*L, both less beta^(n-1)*H/n.
+    The binomial sum of bertrand_f telescopes to (1 + beta + ... + beta^(n-1))/n,
+    so its power-basis coefficients are all 1/n.
+    """
+    if isinstance(spec, TravelersDilemma):
+        undercut = np.array([0.0, spec.bonus - 1.0])
+        floor_value = np.array([float(spec.bonus), -float(spec.high - spec.low)])
+        return undercut, floor_value
+    n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
+    lead = np.zeros(n)
+    lead[-1] = 1.0
+    undercut = lead * (high - 1.0 - high / n)
+    floor_value = np.full(n, low / n) - lead * (high / n)
+    return undercut, floor_value
+
+
+def _kinks(polys: list[np.ndarray]) -> np.ndarray:
+    """Real roots in (0, 1) of the polynomials, sorted and without repeats.
+
+    Zero coefficients are trimmed from both ends first: high-order ones lower
+    the degree, low-order ones are roots at 0, and Bertrand's undercut branch
+    is a single monomial.  A double root can come back as a complex pair
+    about sqrt(eps) apart, so roots with an imaginary part up to 1e-7 count
+    as real; a breakpoint that is not a kink only splits a polynomial piece.
+    """
+    trimmed = [np.trim_zeros(c) for c in polys]
+    roots = np.concatenate([poly.polyroots(c) for c in trimmed if len(c) > 1])
+    real = roots.real[np.abs(roots.imag) <= 1e-7]
+    return np.unique(real[(real > 0.0) & (real < 1.0)])
 
 
 def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) -> float:
     """Probability of cooperation under the default relative-type family.
 
     With t_rel uniform on [0, 1], the conditional rate at belief beta is
-    clip(1 - threshold(beta) / all_cooperate_payoff, 0, 1); a uniform belief
-    integrates that expression over [0, 1] (the integrand is piecewise smooth,
-    so quadrature anchored at its kinks is exact for our polynomial pieces).
+    clip(1 - threshold(beta) / all_cooperate_payoff, 0, 1).  A pinned belief
+    evaluates it once.  A uniform belief integrates it over [0, 1]: the
+    threshold is the maximum of two polynomials in beta (linear for the
+    Traveler's Dilemma, of degree n-1 for Bertrand), so the integrand is a
+    polynomial between the real roots of A - B, A, B, A - S and B - S, where
+    A and B are the two branches and S the all-cooperate payoff.  Each piece
+    is integrated by Gauss-Legendre with deg//2 + 1 nodes, which is exact for
+    that degree.
     """
     if dist.sampler is not None:
         raise ValueError("exact rates are only available for the built-in family")
@@ -345,18 +374,13 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
     if isinstance(spec, (PrisonersDilemma, PublicGoods)):
         return dist.q * float(conditional(np.asarray(0.0)))
 
-    kinks: list[float] = []
-    if isinstance(spec, TravelersDilemma):
-        branch = lambda b: b * (spec.bonus - 1.0) - (spec.bonus - b * (spec.high - spec.low))
-    else:
-        n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
-        branch = lambda b: b ** (n - 1) * (high - 1.0) - bertrand_f(n, b) * low
-    kinks += _sign_change_points(branch)
-    kinks += _sign_change_points(lambda b: _threshold_curve(spec, b) - scale)
-    kinks += _sign_change_points(lambda b: _threshold_curve(spec, b))
-    points = sorted(set(k for k in kinks if 0.0 < k < 1.0))
-    value, _ = quad(lambda b: float(conditional(np.asarray(b))), 0.0, 1.0, points=points or None, limit=200)
-    return dist.q * value
+    a, b = _threshold_branches(spec)
+    kinks = _kinks([poly.polysub(a, b), a, b, poly.polysub(a, [scale]), poly.polysub(b, [scale])])
+    edges = np.concatenate(([0.0], kinks, [1.0]))
+    nodes, weights = legendre.leggauss((len(a) - 1) // 2 + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    betas = np.clip(edges[:-1, None] + half * (nodes + 1.0), 0.0, 1.0)
+    return dist.q * float(np.sum(half * weights * conditional(betas)))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,13 @@
 """End-to-end CLI behavior: exit codes, file formats, determinism."""
 
 import json
+import threading
 
 import pytest
 
 import toleq as tq
 from toleq import serialize
 from toleq.cli import main
-
-
-@pytest.fixture(autouse=True)
-def reset_epsnum():
-    yield
-    tq.set_epsnum(tq.DEFAULT_EPSNUM)
 
 
 @pytest.fixture
@@ -92,6 +87,42 @@ def test_epsnum_env_override(pd_files, tmp_path, monkeypatch):
     base = ["verify", "--game", pd_files["game"], "--profile", str(near), "--pi", pd_files["pi"]]
     monkeypatch.setenv("TOLEQ_EPSNUM", "1e-6")
     assert main(base) == 0
+
+
+def test_epsnum_is_scoped_to_one_main_call(capsys):
+    args = ["threshold", "--kind", "pd", "--benefit", "5", "--cost", "2"]
+    assert main(["--epsnum", "0.01"] + args) == 0
+    assert tq.epsnum() == tq.DEFAULT_EPSNUM
+    assert main(args) == 0
+    assert tq.epsnum() == tq.DEFAULT_EPSNUM
+
+
+def test_epsnum_env_is_scoped_to_one_main_call(monkeypatch, capsys):
+    monkeypatch.setenv("TOLEQ_EPSNUM", "0.01")
+    assert main(["threshold", "--kind", "pd", "--benefit", "5", "--cost", "2"]) == 0
+    assert tq.epsnum() == tq.DEFAULT_EPSNUM
+
+
+def test_set_epsnum_stays_in_its_thread():
+    seen = []
+
+    def worker():
+        tq.set_epsnum(0.5)
+        seen.append(tq.epsnum())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [0.5]
+    assert tq.epsnum() == tq.DEFAULT_EPSNUM
+
+
+def test_format_csv_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--kind", "pd", "--benefit", "5", "--cost", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_remap_round_trip(tmp_path, capsys):
@@ -248,6 +279,21 @@ def test_rate_sweep_csv(tmp_path):
     assert len(lines) == 7
     exact = [float(line.split(",")[1]) for line in lines[1:]]
     assert exact == sorted(exact)  # more benefit, more cooperation
+
+
+def test_rate_sweep_travelers_bonus_one(tmp_path):
+    # bonus 1 makes the undercut branch of the threshold identically 0
+    out = tmp_path / "rates.csv"
+    args = [
+        "sweep", "--kind", "td", "--param", "bonus", "--low", "3", "--high", "201",
+        "--values", "1,2", "--samples", "1000", "--seed", "1", "--out", str(out),
+    ]
+    assert main(args) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "bonus,exact_rate,mc_rate,mc_stderr"
+    exact = float(lines[1].split(",")[1])
+    assert exact == pytest.approx(1 - 1 / (2 * 198 * 201), abs=1e-12)
+    assert exact == pytest.approx(0.99998744, abs=1e-8)
 
 
 def test_alpha_sweep_csv(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toleq as tq
 from oracles import bertrand_f_enum, brute_expected_utility
@@ -182,6 +184,106 @@ def test_exact_rate_matches_midpoint_grid():
     thresholds = np.maximum(betas * 99, tq.bertrand_f(2, betas) * 2) - betas * 50
     grid_rate = float(np.clip(1 - thresholds / 50.0, 0, 1).mean())
     assert tq.exact_cooperation_rate(bc, dist) == pytest.approx(grid_rate, abs=1e-6)
+
+
+def test_travelers_bonus_one_exact_rate():
+    # with bonus 1 the threshold max(0, 1 - beta*(H-L)) vanishes on [1/(H-L), 1],
+    # so the rate is 1 - 1/(2*(H-L)*H)
+    for low, high in ((3, 201), (1, 2), (10, 40)):
+        spec = tq.TravelersDilemma(low, high, 1)
+        closed = 1 - 1 / (2 * (high - low) * high)
+        assert tq.exact_cooperation_rate(spec, tq.RelativeTypeDistribution()) == pytest.approx(
+            closed, abs=1e-12
+        )
+        half = tq.RelativeTypeDistribution(q=0.7)
+        assert tq.exact_cooperation_rate(spec, half) == pytest.approx(0.7 * closed, abs=1e-12)
+    rate = tq.exact_cooperation_rate(tq.TravelersDilemma(3, 201, 1), tq.RelativeTypeDistribution())
+    assert rate == pytest.approx(0.99998744, abs=1e-8)
+
+
+_U = tq.RelativeTypeDistribution
+
+
+@pytest.mark.parametrize(
+    "spec,dist,value",
+    [
+        (tq.PrisonersDilemma(5, 2), _U(), 0.33333333333333337),
+        (tq.PrisonersDilemma(5, 2), _U(q=0.0), 0.0),
+        (tq.PublicGoods(4, 0.5), _U(), 0.75),
+        (tq.PublicGoods(4, 0.5), _U(q=0.5), 0.375),
+        (tq.TravelersDilemma(2, 100, 2), _U(), 0.9947979797979798),
+        (tq.TravelersDilemma(2, 100, 3), _U(), 0.98955),
+        (tq.TravelersDilemma(2, 100, 5), _U(), 0.9787745098039214),
+        (tq.TravelersDilemma(2, 100, 8), _U(), 0.9619523809523811),
+        (tq.BertrandCompetition(2, 2, 100), _U(), 0.5098979591836735),
+        (tq.BertrandCompetition(2, 5, 100), _U(), 0.5093523316062175),
+        (tq.BertrandCompetition(2, 10, 100), _U(), 0.5073404255319149),
+        (tq.BertrandCompetition(2, 20, 100), _U(), 0.4987640449438202),
+        (tq.BertrandCompetition(2, 2, 100), _U(beta_point=0.8), 0.21599999999999997),
+        (tq.BertrandCompetition(3, 2, 100), _U(beta_point=0.8), 0.0),
+    ],
+)
+def test_exact_rates_keep_quadrature_values(spec, dist, value):
+    # values of these specs when the rate was computed by adaptive quadrature
+    assert tq.exact_cooperation_rate(spec, dist) == pytest.approx(value, abs=1e-12)
+
+
+def _quad_rate(spec, q):
+    """The uniform-belief rate by scipy quad, with the kinks located by a
+    4097-point scan and brentq."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    scale = tq.all_cooperate_payoff(spec)
+    if isinstance(spec, tq.TravelersDilemma):
+        b, spread = spec.bonus, spec.high - spec.low
+
+        def branches(x):
+            return x * (b - 1.0), b - x * spread
+
+    else:
+        n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
+
+        def branches(x):
+            lead = x ** (n - 1)
+            return lead * (high - 1.0) - lead * high / n, tq.bertrand_f(n, x) * low - lead * high / n
+
+    def threshold(x):
+        return np.maximum(*branches(x))
+
+    def gap(x):
+        undercut, floor_value = branches(x)
+        return undercut - floor_value
+
+    grid = np.linspace(0.0, 1.0, 4097)
+    kinks = []
+    for fn in (gap, threshold, lambda x: threshold(x) - scale):
+        vals = fn(grid)
+        kinks += list(grid[1:-1][vals[1:-1] == 0.0])
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            kinks.append(brentq(lambda x: float(fn(np.asarray(x))), grid[i], grid[i + 1], xtol=1e-14))
+    value, _ = quad(
+        lambda x: float(np.clip(1.0 - threshold(np.asarray(x)) / scale, 0.0, 1.0)),
+        0.0, 1.0, points=sorted(kinks) or None, limit=200,
+    )
+    return q * value
+
+
+_travelers = st.builds(
+    lambda low, spread, bonus: tq.TravelersDilemma(low, low + spread, bonus),
+    st.integers(1, 20), st.integers(1, 200), st.integers(2, 30),
+)
+_bertrand = st.builds(
+    lambda n, low, spread: tq.BertrandCompetition(n, low, low + spread),
+    st.integers(2, 8), st.integers(2, 30), st.integers(1, 200),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_travelers, _bertrand), st.sampled_from((1.0, 0.7)))
+def test_exact_rate_matches_quadrature(spec, q):
+    exact = tq.exact_cooperation_rate(spec, tq.RelativeTypeDistribution(q=q))
+    assert exact == pytest.approx(_quad_rate(spec, q), abs=1e-12)
 
 
 def test_monte_carlo_converges_to_exact():
