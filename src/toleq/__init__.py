@@ -66,12 +66,10 @@ from .tolerance import (
     DiscreteToleranceDist,
     DiscreteToleranceProfile,
     PiecewiseLinearCdf,
-    ToleranceCdf,
     TransportPlan,
     TruncatedExponentialCdf,
     TypeStrategyMap,
     UniformCdf,
-    cdf_of_discrete,
     dist_dominates,
     dominance_remap,
     point_mass,

@@ -294,9 +294,7 @@ def cmd_sweep(config: RunConfig) -> int:
         dist = serialize.distribution_from_obj(serialize.load_json(config.cdf), config.cdf)
         if not isinstance(dist, ContinuousCdf):
             raise SchemaError(config.cdf, "fixed-point sweeps need a continuous CDF")
-        points = comparative_statics_sweep(
-            payoffs, dist, config.param, values, grid=config.grid, tol_root=config.tol
-        )
+        points = comparative_statics_sweep(payoffs, dist, config.param, values, tol_root=config.tol)
         rows = [[p.param_value, p.alpha_star, p.branch_id, p.marginal] for p in points]
         _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), config.out)
         return 0
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--b", "--c", "--d"):
         p.add_argument(flag, type=float, default=None)
     p.add_argument("--cdf", default=None)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL_ROOT)
     common(p)
 

@@ -173,22 +173,26 @@ def beta_mixture_profile(built: BuiltDilemma, beta: float) -> MixedProfile:
     return MixedProfile(tuple(strategy for _ in range(built.game.num_players)))
 
 
+def _beliefs(beta) -> np.ndarray:
+    """Beliefs as an array; each must be a probability (NaN is not)."""
+    arr = np.asarray(beta, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("beta must lie in [0, 1]")
+    return arr
+
+
 def bertrand_f(n: int, beta):
     """Expected share factor when pricing at the floor against n-1 rivals who
     each price high with probability beta:
     sum_k beta^k (1-beta)^(n-1-k) C(n-1, k) / (n-k).
 
-    Accepts a scalar or an array of beta values.
+    The binomial sum telescopes to (1 + beta + ... + beta^(n-1)) / n, which is
+    what is evaluated.  Accepts a scalar or an array of beta values.
     """
     if n < 2:
         raise ValueError("need at least two firms")
-    arr = np.asarray(beta, dtype=float)
-    if np.any((arr < 0) | (arr > 1)):
-        raise ValueError("beta must lie in [0, 1]")
-    total = np.zeros_like(arr)
-    for k in range(n):
-        coeff = math.comb(n - 1, k) / (n - k)
-        total = total + coeff * arr**k * (1.0 - arr) ** (n - 1 - k)
+    arr = _beliefs(beta)
+    total = poly.polyval(arr, np.full(n, 1.0 / n))
     return float(total) if arr.ndim == 0 else total
 
 
@@ -205,47 +209,29 @@ def all_cooperate_payoff(spec: DilemmaSpec) -> float:
     raise TypeError(f"unknown dilemma spec {spec!r}")
 
 
-def cooperation_threshold(spec: DilemmaSpec, beta: float | None = None) -> float:
+def cooperation_threshold(spec: DilemmaSpec, beta=None):
     """Minimal absolute tolerance making cooperation consistent.
 
     For the Prisoner's Dilemma and Public Goods the threshold does not depend
-    on beliefs and ``beta`` is ignored.  For Traveler's Dilemma, ``beta=None``
-    gives the worst-case threshold 2b-1; with a belief it is
-    max(beta*(b-1), b - beta*(high-low)).  Bertrand requires a belief.
+    on beliefs and ``beta`` only sets the shape of the result.  For Traveler's
+    Dilemma, ``beta=None`` gives the worst-case threshold 2b-1; with a belief
+    it is max(beta*(b-1), b - beta*(high-low)).  Bertrand requires a belief.
+    ``beta`` may be a scalar, giving a float, or an array, giving an array of
+    the same shape.
     """
-    if isinstance(spec, PrisonersDilemma):
-        return spec.cost
-    if isinstance(spec, PublicGoods):
-        return 1.0 - spec.marginal_return
-    if isinstance(spec, TravelersDilemma):
-        if beta is None:
-            return 2.0 * spec.bonus - 1.0
-        return max(beta * (spec.bonus - 1.0), spec.bonus - beta * (spec.high - spec.low))
-    if isinstance(spec, BertrandCompetition):
-        if beta is None:
+    if isinstance(spec, (PrisonersDilemma, PublicGoods)):
+        value = spec.cost if isinstance(spec, PrisonersDilemma) else 1.0 - spec.marginal_return
+        return value if np.ndim(beta) == 0 else np.full(np.shape(beta), float(value))
+    if not isinstance(spec, (TravelersDilemma, BertrandCompetition)):
+        raise TypeError(f"unknown dilemma spec {spec!r}")
+    if beta is None:
+        if isinstance(spec, BertrandCompetition):
             raise ValueError("the Bertrand threshold depends on the belief beta")
-        n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
-        undercut = beta ** (n - 1) * (high - 1.0)
-        floor_value = bertrand_f(n, beta) * low
-        return max(undercut, floor_value) - beta ** (n - 1) * high / n
-    raise TypeError(f"unknown dilemma spec {spec!r}")
-
-
-def _threshold_curve(spec: DilemmaSpec, betas: np.ndarray) -> np.ndarray:
-    """Vectorized cooperation_threshold over an array of beliefs."""
-    if isinstance(spec, PrisonersDilemma):
-        return np.full_like(betas, spec.cost)
-    if isinstance(spec, PublicGoods):
-        return np.full_like(betas, 1.0 - spec.marginal_return)
-    if isinstance(spec, TravelersDilemma):
-        return np.maximum(
-            betas * (spec.bonus - 1.0), spec.bonus - betas * (spec.high - spec.low)
-        )
-    if isinstance(spec, BertrandCompetition):
-        n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
-        lead = betas ** (n - 1)
-        return np.maximum(lead * (high - 1.0), bertrand_f(n, betas) * low) - lead * high / n
-    raise TypeError(f"unknown dilemma spec {spec!r}")
+        return 2.0 * spec.bonus - 1.0
+    betas = _beliefs(beta)
+    undercut, floor_value = _threshold_branches(spec)
+    out = np.maximum(poly.polyval(betas, undercut), poly.polyval(betas, floor_value))
+    return float(out) if out.ndim == 0 else out
 
 
 def relative_to_absolute(spec: DilemmaSpec, t_rel: float) -> float:
@@ -319,8 +305,7 @@ def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[n
     Traveler's Dilemma: undercutting by one, beta*(b-1), against claiming the
     floor, b - beta*(H-L).  Bertrand: undercutting, beta^(n-1)*(H-1), against
     pricing at the floor, bertrand_f(n, beta)*L, both less beta^(n-1)*H/n.
-    The binomial sum of bertrand_f telescopes to (1 + beta + ... + beta^(n-1))/n,
-    so its power-basis coefficients are all 1/n.
+    The power-basis coefficients of bertrand_f are all 1/n.
     """
     if isinstance(spec, TravelersDilemma):
         undercut = np.array([0.0, spec.bonus - 1.0])
@@ -367,7 +352,7 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
     scale = all_cooperate_payoff(spec)
 
     def conditional(betas: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - _threshold_curve(spec, betas) / scale, 0.0, 1.0)
+        return np.clip(1.0 - cooperation_threshold(spec, betas) / scale, 0.0, 1.0)
 
     if dist.beta_point is not None:
         return dist.q * float(conditional(np.asarray(dist.beta_point)))
@@ -404,7 +389,7 @@ def cooperation_rate(
     e = epsnum(eps)
     rng = np.random.default_rng(seed)
     t_rel, beta, is_c = dist.sample(rng, samples)
-    thresholds = _threshold_curve(spec, np.asarray(beta, dtype=float))
+    thresholds = cooperation_threshold(spec, np.asarray(beta, dtype=float))
     scale = all_cooperate_payoff(spec)
     cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - e)
     rate = float(cooperates.mean())

@@ -5,10 +5,17 @@ across tolerance types so that each type only plays strategies whose regret
 is within its tolerance (type consistency) and the mass-weighted mixture
 reconstructs the player's strategy exactly.  Because the set of strategies a
 type may play only grows with the tolerance, feasibility reduces to
-threshold inequalities:
-for every atom t, the cumulative type mass up to t must fit inside the
-strategy mass with regret <= t.  A greedy lowest-regret-first assignment
-then always produces a witness.
+threshold inequalities: for every atom t, the cumulative type mass up to t
+must fit inside the supported strategy mass with regret <= t.
+
+The verifier decides this in one pass per player over cumulative masses.
+Mass on a strategy whose regret exceeds every tolerance is reported first;
+otherwise the strategies are sorted by regret once, and the cumulative type
+mass is compared with the cumulative strategy mass at every atom.  When no
+inequality fails, the lowest-regret-first witness is the quantile
+(north-west-corner) coupling of type mass and strategy mass, the same
+coupling ``tolerance.dominance_remap`` uses to move an assignment onto a
+dominating distribution.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .tolerance import (
     DiscreteToleranceDist,
     DiscreteToleranceProfile,
     TypeStrategyMap,
+    _quantile_overlap,
     point_mass,
 )
 
@@ -58,35 +66,61 @@ def _check_pi(game: Game, pi: DiscreteToleranceProfile) -> None:
         )
 
 
-def _player_witness(
+def _player_check(
     sigma: np.ndarray,
     regret_vec: np.ndarray,
     dist: DiscreteToleranceDist,
+    player: int,
     eps: float,
-) -> TypeStrategyMap | None:
-    """Greedy assignment of type mass to strategy mass, lowest regret first."""
-    remaining = sigma.copy()
+) -> TypeStrategyMap | Violation:
+    """Witness for one player, or the first threshold the player fails."""
+    in_support = sigma > eps
+    stranded = in_support & (regret_vec > dist.max_tolerance + eps)
+    if stranded.any():
+        worst = int(np.argmax(stranded))
+        return Violation(
+            player=player,
+            threshold=dist.max_tolerance,
+            excess_mass=float(sigma[stranded].sum()),
+            detail=(
+                f"strategy {worst} carries probability {sigma[worst]:.6g} "
+                f"but its regret {regret_vec[worst]:.6g} exceeds every "
+                "tolerance type"
+            ),
+        )
+
     order = np.argsort(regret_vec, kind="stable")
-    assigned = []
-    for t, mass in zip(dist.support, dist.probs):
-        need = mass
-        alloc = np.zeros_like(sigma)
-        for s in order:
-            if regret_vec[s] > t + eps:
-                break
-            take = min(need, remaining[s])
-            if take > 0:
-                alloc[s] += take
-                remaining[s] -= take
-                need -= take
-            if need <= eps:
-                break
-        if need > eps:
-            return None
-        total = alloc.sum()
-        alloc = np.clip(alloc / total, 0.0, 1.0)
-        assigned.append(MixedStrategy(tuple(alloc / alloc.sum())))
-    return TypeStrategyMap(dist.support, tuple(assigned))
+    strategy_cum = np.zeros(len(sigma) + 1)
+    np.cumsum(np.where(in_support, sigma, 0.0)[order], out=strategy_cum[1:])
+    type_cum = np.cumsum((0.0, *dist.probs))
+    tolerances = np.asarray(dist.support) + eps
+    # available[j]: the supported strategy mass with regret <= support[j] + eps
+    available = strategy_cum[np.searchsorted(regret_vec[order], tolerances, side="right")]
+    failed = np.flatnonzero(type_cum[1:] > available + eps)
+    if failed.size:
+        j = int(failed[0])
+        t, cumulative, mass = dist.support[j], float(type_cum[j + 1]), float(available[j])
+        return Violation(
+            player=player,
+            threshold=t,
+            excess_mass=cumulative - mass,
+            detail=(
+                f"types with tolerance <= {t:.6g} have mass {cumulative:.6g} but only "
+                f"{mass:.6g} of the strategy mass is consistent with them"
+            ),
+        )
+
+    alloc = np.empty((len(tolerances), len(sigma)))
+    alloc[:, order] = _quantile_overlap(type_cum, strategy_cum)
+    totals = alloc.sum(axis=1)
+    if not totals.all():
+        # An atom lighter than eps can lie wholly past the supported mass; it
+        # plays a best response, which every tolerance allows.
+        empty = totals == 0.0
+        alloc[empty, order[0]] = 1.0
+        totals[empty] = 1.0
+    alloc /= totals[:, None]
+    return TypeStrategyMap(dist.support, tuple(MixedStrategy(tuple(row)) for row in alloc.tolist()))
 
 
 def verify_tolerant_equilibrium(
@@ -101,81 +135,26 @@ def verify_tolerant_equilibrium(
     witnesses = []
     for player in range(game.num_players):
         sigma = np.asarray(profile[player].probs)
-        regret_vec = regrets(game, profile, player)
-        dist = pi[player]
-
-        in_support = sigma > e
-        stranded = in_support & (regret_vec > dist.max_tolerance + e)
-        if np.any(stranded):
-            worst = int(np.nonzero(stranded)[0][0])
-            return EquilibriumVerdict(
-                False,
-                None,
-                Violation(
-                    player=player,
-                    threshold=dist.max_tolerance,
-                    excess_mass=float(sigma[stranded].sum()),
-                    detail=(
-                        f"strategy {worst} carries probability {sigma[worst]:.6g} "
-                        f"but its regret {regret_vec[worst]:.6g} exceeds every "
-                        "tolerance type"
-                    ),
-                ),
-            )
-
-        cumulative = 0.0
-        for t, mass in zip(dist.support, dist.probs):
-            cumulative += mass
-            available = float(sigma[in_support & (regret_vec <= t + e)].sum())
-            if cumulative > available + e:
-                return EquilibriumVerdict(
-                    False,
-                    None,
-                    Violation(
-                        player=player,
-                        threshold=t,
-                        excess_mass=cumulative - available,
-                        detail=(
-                            f"types with tolerance <= {t:.6g} have mass "
-                            f"{cumulative:.6g} but only {available:.6g} of the "
-                            "strategy mass is consistent with them"
-                        ),
-                    ),
-                )
-
-        witness = _player_witness(sigma, regret_vec, dist, e)
-        if witness is None:
-            # Thresholds passed but greedy failed: only reachable through
-            # float drift right at eps; report the max-tolerance threshold.
-            return EquilibriumVerdict(
-                False,
-                None,
-                Violation(player, dist.max_tolerance, 0.0, "greedy assignment failed"),
-            )
-        witnesses.append(witness)
+        outcome = _player_check(sigma, regrets(game, profile, player), pi[player], player, e)
+        if isinstance(outcome, Violation):
+            return EquilibriumVerdict(False, None, outcome)
+        witnesses.append(outcome)
     return EquilibriumVerdict(True, tuple(witnesses), None)
-
-
-def verify_nash(game: Game, profile: MixedProfile, eps: float | None = None) -> bool:
-    """Nash test: every player's supported strategies are exact best responses."""
-    pi = DiscreteToleranceProfile.iid(point_mass(0.0), game.num_players)
-    return verify_tolerant_equilibrium(game, profile, pi, eps).is_equilibrium
 
 
 def verify_gp_epsilon_nash(
     game: Game, profile: MixedProfile, epsilon: float, eps: float | None = None
 ) -> bool:
     """Support-restricted epsilon-Nash test: every supported strategy must be
-    an epsilon-best response (equivalent to a point mass at epsilon)."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    e = epsnum(eps)
-    for player in range(game.num_players):
-        sigma = np.asarray(profile[player].probs)
-        regret_vec = regrets(game, profile, player)
-        if np.any((sigma > e) & (regret_vec > epsilon + e)):
-            return False
-    return True
+    an epsilon-best response, i.e. a tolerant equilibrium under a point mass
+    at epsilon."""
+    pi = DiscreteToleranceProfile.iid(point_mass(epsilon), game.num_players)
+    return verify_tolerant_equilibrium(game, profile, pi, eps).is_equilibrium
+
+
+def verify_nash(game: Game, profile: MixedProfile, eps: float | None = None) -> bool:
+    """Nash test: every player's supported strategies are exact best responses."""
+    return verify_gp_epsilon_nash(game, profile, 0.0, eps)
 
 
 def _symmetric_profile(alpha: float) -> MixedProfile:
@@ -213,23 +192,12 @@ def symmetric_alpha_intervals(
     eps: float | None = None,
 ) -> list[tuple[float, float]]:
     """Passing grid alphas merged into maximal runs, reported by endpoints."""
-    _check_symmetric_2x2(game)
     alphas = np.linspace(0.0, 1.0, grid)
-    passing = [
-        verify_tolerant_equilibrium(game, _symmetric_profile(float(a)), pi, eps).is_equilibrium
-        for a in alphas
-    ]
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for i, ok in enumerate(passing):
-        if ok and start is None:
-            start = i
-        if not ok and start is not None:
-            intervals.append((float(alphas[start]), float(alphas[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(alphas[start]), float(alphas[-1])))
-    return intervals
+    found = find_symmetric_2x2_equilibria(game, pi, grid, eps)
+    passing = np.isin(alphas, [profile[0].probs[0] for profile in found])
+    edges = np.diff(np.concatenate(([0], passing.astype(int), [0])))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    return [(float(alphas[i]), float(alphas[j])) for i, j in zip(starts, stops)]
 
 
 def witness_is_valid(

@@ -74,7 +74,7 @@ class MixedStrategy:
         eps = epsnum()
         if not probs:
             raise ValueError("mixed strategy needs at least one entry")
-        if any(p < -eps or p > 1 + eps for p in probs):
+        if not all(-eps <= p <= 1 + eps for p in probs):
             raise ValueError(f"probabilities must lie in [0, 1], got {probs}")
         total = sum(probs)
         if abs(total - 1.0) > eps:

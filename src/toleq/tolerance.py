@@ -32,12 +32,12 @@ class DiscreteToleranceDist:
         eps = epsnum()
         if len(support) != len(probs) or not support:
             raise ValueError("support and probs must be non-empty and aligned")
-        if any(t < 0 for t in support):
-            raise ValueError("tolerances must be non-negative")
+        if not all(0.0 <= t < math.inf for t in support):
+            raise ValueError(f"tolerances must be finite and non-negative, got {support}")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(p <= 0 or p > 1 + eps for p in probs):
-            raise ValueError("atom masses must lie in (0, 1]")
+        if not all(0.0 < p <= 1 + eps for p in probs):
+            raise ValueError(f"atom masses must lie in (0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > eps:
             raise ValueError(f"atom masses must sum to 1, got {sum(probs)}")
         object.__setattr__(self, "support", support)
@@ -46,11 +46,6 @@ class DiscreteToleranceDist:
     def cdf(self, t: float) -> float:
         """Total mass on atoms <= t."""
         return float(sum(p for atom, p in zip(self.support, self.probs) if atom <= t))
-
-    def mass_at_least(self, t: float, eps: float | None = None) -> float:
-        """Total mass on atoms >= t, counting atoms within eps of t."""
-        e = epsnum(eps)
-        return float(sum(p for atom, p in zip(self.support, self.probs) if atom >= t - e))
 
     @property
     def max_tolerance(self) -> float:
@@ -82,11 +77,6 @@ class DiscreteToleranceProfile:
     @staticmethod
     def iid(dist: DiscreteToleranceDist, num_players: int) -> "DiscreteToleranceProfile":
         return DiscreteToleranceProfile(tuple(dist for _ in range(num_players)))
-
-
-def cdf_of_discrete(dist: DiscreteToleranceDist, t: float) -> float:
-    """Cumulative mass on atoms <= t."""
-    return dist.cdf(t)
 
 
 def dist_dominates(
@@ -153,6 +143,18 @@ class TransportPlan:
     beta: tuple[float, ...]
 
 
+def _quantile_overlap(row_cum: np.ndarray, col_cum: np.ndarray) -> np.ndarray:
+    """North-west-corner coupling of two distributions given by cumulative masses.
+
+    ``row_cum`` and ``col_cum`` start at 0 and end at the total mass; entry
+    [j, h] is the length of the overlap of the quantile intervals
+    [row_cum[j], row_cum[j + 1]] and [col_cum[h], col_cum[h + 1]].
+    """
+    lo = np.maximum.outer(row_cum[:-1], col_cum[:-1])
+    hi = np.minimum.outer(row_cum[1:], col_cum[1:])
+    return np.maximum(hi - lo, 0.0)
+
+
 def transport_plan(
     lo_dist: DiscreteToleranceDist,
     hi_dist: DiscreteToleranceDist,
@@ -162,37 +164,24 @@ def transport_plan(
     e = epsnum(eps)
     if not dist_dominates(hi_dist, lo_dist, eps):
         raise ValueError("target distribution does not stochastically dominate the source")
-    lo_cum = np.concatenate(([0.0], np.cumsum(lo_dist.probs)))
-    hi_cum = np.concatenate(([0.0], np.cumsum(hi_dist.probs)))
-    n = len(lo_dist.support)
-    m = len(hi_dist.support)
-    weights = np.zeros((m, n))
-    alpha: list[int] = []
-    beta: list[float] = []
-    for j in range(m):
-        for h in range(n):
-            overlap = min(hi_cum[j + 1], lo_cum[h + 1]) - max(hi_cum[j], lo_cum[h])
-            if overlap > e:
-                weights[j, h] = overlap
-        contributing = np.nonzero(weights[j])[0]
-        if contributing.size == 0:
-            raise ValueError(
-                f"atom {j} of the dominating distribution received no mass; "
-                "inputs are inconsistent"
-            )
-        last = int(contributing[-1])
-        residual = float(weights[j, last])
-        if residual < -e:
-            raise ValueError(f"negative transport mass at atom {j}: {residual}")
-        if lo_dist.support[last] > hi_dist.support[j] + e:
-            raise ValueError(
-                "transport would give a type a strategy of a higher type; "
-                "dominance is violated"
-            )
-        alpha.append(last)
-        beta.append(residual)
+    weights = _quantile_overlap(np.cumsum((0.0, *hi_dist.probs)), np.cumsum((0.0, *lo_dist.probs)))
+    contributing = weights > e
+    weights *= contributing
+    fed = contributing.any(axis=1)
+    if not fed.all():
+        raise ValueError(
+            f"atom {int(np.argmin(fed))} of the dominating distribution received no mass; "
+            "inputs are inconsistent"
+        )
+    alpha = weights.shape[1] - 1 - np.argmax(contributing[:, ::-1], axis=1)
+    if np.any(np.asarray(lo_dist.support)[alpha] > np.asarray(hi_dist.support) + e):
+        raise ValueError(
+            "transport would give a type a strategy of a higher type; "
+            "dominance is violated"
+        )
+    beta = weights[np.arange(len(alpha)), alpha]
     weights.setflags(write=False)
-    return TransportPlan(weights, tuple(alpha), tuple(beta))
+    return TransportPlan(weights, tuple(alpha.tolist()), tuple(beta.tolist()))
 
 
 def dominance_remap(
@@ -211,17 +200,9 @@ def dominance_remap(
     """
     if not g.matches(lo_dist):
         raise ValueError("map domain does not match the source distribution support")
-    plan = transport_plan(lo_dist, hi_dist, eps)
-    source = np.array([s.probs for s in g.strategies])
-    remapped = []
-    for j, mass in enumerate(hi_dist.probs):
-        mix = plan.weights[j] @ source
-        total = mix.sum()
-        if not total > 0:
-            raise ValueError(f"atom {j} received no strategy mass")
-        mix = np.clip(mix / total, 0.0, 1.0)
-        remapped.append(MixedStrategy(tuple(mix / mix.sum())))
-    return TypeStrategyMap(hi_dist.support, tuple(remapped))
+    mix = transport_plan(lo_dist, hi_dist, eps).weights @ np.array([s.probs for s in g.strategies])
+    mix = np.clip(mix / mix.sum(axis=1, keepdims=True), 0.0, 1.0)
+    return TypeStrategyMap(hi_dist.support, tuple(MixedStrategy(tuple(row)) for row in mix.tolist()))
 
 
 def remap_preserves_mixture(
@@ -358,6 +339,3 @@ class TruncatedExponentialCdf(ContinuousCdf):
     def shifted(self, delta: float) -> "TruncatedExponentialCdf":
         delta = _check_shift(delta)
         return TruncatedExponentialCdf(self.rate, self.cap, self.shift + delta)
-
-
-ToleranceCdf = ContinuousCdf

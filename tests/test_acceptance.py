@@ -11,7 +11,7 @@ import pytest
 import toleq as tq
 from toleq import serialize
 from toleq.cli import main as cli_main
-from oracles import (
+from toleq_oracles import (
     bertrand_f_enum,
     dominating_dist,
     feasible_instance,

@@ -125,6 +125,25 @@ def test_format_csv_is_rejected(capsys):
     assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
+def test_sweep_grid_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--kind", "pd-alpha", "--param", "delta_c", "--values", "1.5,2.5",
+              "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", "cdf.json", "--grid", "2000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+def test_bertrand_threshold_with_many_firms(capsys):
+    # the binomial form of bertrand_f overflowed a float above about 1,030 firms
+    n, beta = 1100, 0.5
+    code = main(["threshold", "--kind", "bertrand", "--n", str(n), "--low", "2", "--high", "100",
+                 "--beta", str(beta)])
+    assert code == 0
+    out = capsys.readouterr().out
+    expected = 2 * (1 - beta**n) / (n * (1 - beta)) - beta ** (n - 1) * 100 / n
+    assert float(out.split("threshold:")[1]) == pytest.approx(expected, rel=1e-12)
+
+
 def test_remap_round_trip(tmp_path, capsys):
     lo = tmp_path / "pi.json"
     hi = tmp_path / "pi_prime.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
-from oracles import bertrand_f_enum, brute_expected_utility
+from toleq_oracles import bertrand_f_enum, brute_expected_utility
 
 
 def test_pd_game_payoffs():
@@ -77,6 +77,23 @@ def test_thresholds_closed_forms():
     assert tq.cooperation_threshold(bc, beta=0.8) == pytest.approx(39.2)
     with pytest.raises(ValueError):
         tq.cooperation_threshold(bc)
+
+
+def test_threshold_takes_an_array_of_beliefs():
+    betas = np.linspace(0.0, 1.0, 7).reshape(7, 1)
+    for spec in (
+        tq.PrisonersDilemma(5, 2),
+        tq.PublicGoods(3, 0.4),
+        tq.TravelersDilemma(2, 100, 3),
+        tq.BertrandCompetition(3, 2, 40),
+    ):
+        curve = tq.cooperation_threshold(spec, betas)
+        assert curve.shape == betas.shape
+        for beta, value in zip(betas.ravel(), curve.ravel()):
+            assert value == tq.cooperation_threshold(spec, float(beta))
+    for bad in (-0.1, 1.5, float("nan"), np.array([0.2, 1.1])):
+        with pytest.raises(ValueError):
+            tq.cooperation_threshold(tq.BertrandCompetition(3, 2, 40), bad)
 
 
 def test_traveler_threshold_against_direct_expected_utilities():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
-from oracles import (
+from toleq_oracles import (
     dominating_dist,
     feasible_instance,
     is_standard_epsilon_nash,
@@ -14,6 +14,7 @@ from oracles import (
     random_game,
     random_profile,
     random_tolerance_profile,
+    reference_violation,
 )
 
 
@@ -69,6 +70,19 @@ def test_mass_on_strategy_no_type_accepts_is_named():
     assert "every tolerance type" in verdict.violation.detail
 
 
+def test_type_lighter_than_eps_gets_a_consistent_strategy():
+    # sigma sums to 1 - 5e-10, so the 1e-10 atom lies wholly past the
+    # supported mass in the quantile coupling
+    game = pd_game()
+    prof = profile((0.5, 0.5 - 5e-10), (0.5, 0.5 - 5e-10))
+    pi = tq.DiscreteToleranceProfile.iid(tq.DiscreteToleranceDist((3.0, 4.0), (1 - 1e-10, 1e-10)), 2)
+    verdict = tq.verify_tolerant_equilibrium(game, prof, pi)
+    assert verdict.is_equilibrium
+    for g in verdict.witness:
+        assert g.strategies[1].probs == (0.0, 1.0)  # the best response
+    assert tq.witness_is_valid(game, prof, pi, verdict.witness)
+
+
 def test_verify_nash_examples():
     game = pd_game()
     assert tq.verify_nash(game, profile((0, 1), (0, 1)))
@@ -88,6 +102,9 @@ def test_gp_epsilon_nash_examples():
     assert tq.verify_gp_epsilon_nash(game, profile((0, 1), (0, 1)), 0.0)
     with pytest.raises(ValueError):
         tq.verify_gp_epsilon_nash(game, slight, -0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            tq.verify_gp_epsilon_nash(game, profile((0.5, 0.5), (0.5, 0.5)), bad)
 
 
 def test_symmetric_grid_search_nash_only():
@@ -139,6 +156,32 @@ def test_matches_maxflow_oracle(seed):
     ours = tq.verify_tolerant_equilibrium(game, prof, pi).is_equilibrium
     oracle = oracle_tolerant_verdict(game, prof, pi, pi_units, sigma_units)
     assert ours == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_violation_matches_reference(seed, generous):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng)
+    prof, _ = random_profile(rng, game)
+    pi, _ = random_tolerance_profile(rng, game, generous=generous)
+    verdict = tq.verify_tolerant_equilibrium(game, prof, pi)
+    expected = reference_violation(game, prof, pi)
+    assert verdict.is_equilibrium == (expected is None)
+    if expected is None:
+        return
+    player, threshold, excess, stranded = expected
+    v = verdict.violation
+    assert (v.player, v.threshold) == (player, threshold)
+    assert abs(v.excess_mass - excess) <= 1e-12
+    if stranded is None:
+        assert "every tolerance type" not in v.detail
+    else:
+        regret = tq.regrets(game, prof, player)[stranded]
+        assert v.detail == (
+            f"strategy {stranded} carries probability {prof[player].probs[stranded]:.6g} "
+            f"but its regret {regret:.6g} exceeds every tolerance type"
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
-from oracles import brute_expected_utility, random_game, random_profile
+from toleq_oracles import brute_expected_utility, random_game, random_profile
 
 
 def pd_game(b=5.0, c=2.0):
@@ -105,6 +105,13 @@ def test_invalid_probabilities_rejected():
         tq.MixedStrategy((0.5, 0.4))
     with pytest.raises(ValueError):
         tq.MixedStrategy((1.2, -0.2))
+
+
+def test_non_finite_probabilities_rejected():
+    inf, nan = float("inf"), float("nan")
+    for probs in ((nan, nan), (0.5, nan), (inf, -inf), (1.0, 0.0, nan)):
+        with pytest.raises(ValueError):
+            tq.MixedStrategy(probs)
 
 
 def test_payoff_tensor_shape_checked():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
-from oracles import dominating_dist, random_map
+from toleq_oracles import dominating_dist, random_map
 
 
 def dist(*pairs):
@@ -18,16 +18,16 @@ def pure(i, n=2):
 
 
 def test_cdf_point_mass():
-    assert tq.cdf_of_discrete(tq.point_mass(0.0), 0.0) == 1.0
+    assert tq.point_mass(0.0).cdf(0.0) == 1.0
 
 
 def test_cdf_between_atoms():
     d = dist((0.0, 0.7), (3.0, 0.3))
-    assert tq.cdf_of_discrete(d, 1.0) == pytest.approx(0.7)
+    assert d.cdf(1.0) == pytest.approx(0.7)
 
 
 def test_cdf_below_support():
-    assert tq.cdf_of_discrete(dist((0.0, 0.7), (3.0, 0.3)), -1.0) == 0.0
+    assert dist((0.0, 0.7), (3.0, 0.3)).cdf(-1.0) == 0.0
 
 
 def test_dist_validation():
@@ -203,6 +203,20 @@ def test_non_finite_cdf_parameters_rejected():
         lambda: tq.TruncatedExponentialCdf(rate=1.0, cap=inf),
     ):
         with pytest.raises(ValueError, match="finite"):
+            make()
+
+
+def test_non_finite_discrete_distributions_rejected():
+    inf, nan = float("inf"), float("nan")
+    for make in (
+        lambda: tq.DiscreteToleranceDist((0.0, inf), (0.5, 0.5)),
+        lambda: tq.DiscreteToleranceDist((0.0, nan), (0.5, 0.5)),
+        lambda: tq.DiscreteToleranceDist((0.0, 1.0), (nan, nan)),
+        lambda: tq.DiscreteToleranceDist((0.0, 1.0), (inf, 0.5)),
+        lambda: tq.point_mass(nan),
+        lambda: tq.point_mass(inf),
+    ):
+        with pytest.raises(ValueError):
             make()
 
 

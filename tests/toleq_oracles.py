@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's computation paths: expected
 utilities are plain loops over pure profiles, feasibility goes through an
-integer max-flow, and the Bertrand share factor is enumerated outcome by
-outcome.
+integer max-flow, the first failed threshold inequality is found by plain
+loops over atoms and strategies, and the Bertrand share factor is enumerated
+outcome by outcome.
 """
 
 from __future__ import annotations
@@ -63,6 +64,32 @@ def oracle_tolerant_verdict(game, profile, pi, pi_units, sigma_units, eps=1e-9):
         if not maxflow_feasible(pi_units[player], sigma_units[player], edges):
             return False
     return True
+
+
+def reference_violation(game, profile, pi, eps=1e-9):
+    """First failed threshold inequality, by plain loops over players and atoms.
+
+    Returns None when every inequality holds, else (player, threshold,
+    excess_mass, stranded) where stranded is the lowest index of a supported
+    strategy whose regret exceeds every tolerance, or None.
+    """
+    for player in range(game.num_players):
+        regret_vec = tq.regrets(game, profile, player)
+        sigma = profile[player].probs
+        dist = pi[player]
+        top = dist.support[-1]
+        stranded = [s for s, p in enumerate(sigma) if p > eps and regret_vec[s] > top + eps]
+        if stranded:
+            return player, top, sum(sigma[s] for s in stranded), stranded[0]
+        cumulative = 0.0
+        for t, mass in zip(dist.support, dist.probs):
+            cumulative += mass
+            available = sum(
+                p for s, p in enumerate(sigma) if p > eps and regret_vec[s] <= t + eps
+            )
+            if cumulative > available + eps:
+                return player, t, cumulative - available, None
+    return None
 
 
 def is_standard_epsilon_nash(game, profile, epsilon, tol=1e-12):
