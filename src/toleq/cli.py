@@ -142,8 +142,8 @@ def _dilemma_from_config(config: RunConfig):
 
 def cmd_verify(config: RunConfig) -> int:
     game = serialize.game_from_obj(serialize.load_json(config.game), config.game)
-    profile = serialize.profile_from_obj(serialize.load_json(config.profile), config.profile)
-    pi = serialize.tolerance_profile_from_obj(serialize.load_json(config.pi), config.pi)
+    profile = serialize.profile_from_obj(serialize.load_json(config.profile), config.profile, game)
+    pi = serialize.tolerance_profile_from_obj(serialize.load_json(config.pi), config.pi, game)
     verdict = verify_tolerant_equilibrium(game, profile, pi)
     if config.fmt == "structured-object":
         _emit(json.dumps(serialize.verdict_to_obj(verdict), indent=2) + "\n", config.out)
@@ -176,6 +176,8 @@ def cmd_remap(config: RunConfig) -> int:
     if not dist_dominates(hi, lo):
         sys.stdout.write("dominance failure: the target does not dominate the source\n")
         return 1
+    if not g.matches(lo):
+        raise SchemaError(config.g, f"support {g.support} does not match {config.pi}")
     g_prime = dominance_remap(lo, hi, g)
     if not remap_preserves_mixture(lo, hi, g, g_prime):
         raise ValueError("remapped assignment failed its structural checks")

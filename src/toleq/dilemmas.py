@@ -3,17 +3,22 @@
 Each dilemma has a unique Nash profile (everyone defects) and a unique
 welfare-maximizing profile (everyone cooperates).  ``cooperation_threshold``
 gives the minimal tolerance that makes cooperating consistent, in closed
-form; ``build_game`` materializes the full payoff tensor so the closed forms
-can be cross-checked against raw regrets.  Cooperation rates over relative
-types are available both exactly (uniform relative tolerance, uniform or
-pinned belief) and by seeded Monte Carlo.  An exact rate under a uniform
-belief integrates a piecewise polynomial: the pieces end at real roots of
-explicit polynomials, and Gauss-Legendre with enough nodes for each piece's
-degree integrates every piece without error beyond rounding.
+form.  ``build_game`` materializes the full payoff tensor, which defines the
+game and is what equality, serialization and cross-checks read.  Built
+Bertrand and Public Goods games evaluate expected utilities in closed form
+instead of contracting that tensor: a Public Goods payoff is linear in every
+contribution, and a Bertrand sale is split by an integral of a polynomial in
+one variable.  Cooperation rates over relative types are available both
+exactly (uniform relative tolerance, uniform or pinned belief) and by seeded
+Monte Carlo.  An exact rate under a uniform belief integrates a piecewise
+polynomial: the pieces end at real roots of explicit polynomials, and
+Gauss-Legendre with enough nodes for each piece's degree integrates every
+piece without error beyond rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -97,6 +102,72 @@ class BertrandCompetition:
 DilemmaSpec = Union[PrisonersDilemma, TravelersDilemma, PublicGoods, BertrandCompetition]
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], exact for degree 2m - 1."""
+    nodes, weights = legendre.leggauss(m)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@dataclass(frozen=True, eq=False)
+class _PublicGoodsGame(Game):
+    """A built Public Goods game with closed-form utilities; its payoff
+    tensor is still built and stays the game's definition."""
+
+    amounts: np.ndarray
+    marginal_return: float
+
+    def _utilities(self, opponents: MixedProfile, player: int) -> np.ndarray:
+        # u_i(x) = 1 - x + rho * (x + sum over rivals of their expected contribution)
+        rivals = (s for j, s in enumerate(opponents.strategies) if j != player)
+        pool = sum(float(np.dot(s.probs, self.amounts)) for s in rivals)
+        return 1.0 - self.amounts + self.marginal_return * (self.amounts + pool)
+
+
+@dataclass(frozen=True, eq=False)
+class _BertrandGame(Game):
+    """A built Bertrand game with closed-form utilities; its payoff tensor is
+    still built and stays the game's definition."""
+
+    prices: np.ndarray
+
+    def _utilities(self, opponents: MixedProfile, player: int) -> np.ndarray:
+        # u_i(p) = p * int_0^1 prod_j (P(s_j > p) + P(s_j = p) * z) dz over rivals j:
+        # a tie among m firms pays 1/m = int_0^1 z^(m-1) dz.  The integrand has
+        # degree n - 1 in z, so n // 2 + 1 Gauss-Legendre nodes are exact.
+        others = np.array([s.probs for j, s in enumerate(opponents.strategies) if j != player])
+        above = np.zeros_like(others)
+        above[:, :-1] = np.cumsum(others[:, :0:-1], axis=1)[:, ::-1]
+        nodes, weights = _unit_gauss(self.num_players // 2 + 1)
+        return self.prices * (np.prod(above[..., None] + others[..., None] * nodes, axis=0) @ weights)
+
+
+def _bertrand_payoffs(prices: np.ndarray, n: int) -> np.ndarray:
+    """Payoff tensor of n firms on a price grid: the lowest price takes the
+    sale, split evenly among the firms that tie at it.
+
+    Each firm's price is a broadcast view along its own axis, so no index
+    grid is built: the full-size temporaries are the lowest price, the tie
+    count, the share and one mask at a time.
+    """
+    k = len(prices)
+    chosen = [prices.reshape((1,) * i + (k,) + (1,) * (n - 1 - i)) for i in range(n)]
+    lowest = chosen[0]
+    for price in chosen[1:]:
+        lowest = np.minimum(lowest, price)
+    ties = np.zeros(lowest.shape, dtype=np.int64)
+    for price in chosen:
+        ties += price == lowest
+    share = lowest / ties
+    payoffs = np.empty(lowest.shape + (n,))
+    for i, price in enumerate(chosen):
+        np.multiply(share, price == lowest, out=payoffs[..., i])
+    return payoffs
+
+
 @dataclass(frozen=True)
 class BuiltDilemma:
     """Explicit game plus the strategy indices for cooperating and defecting."""
@@ -111,6 +182,8 @@ def build_game(spec: DilemmaSpec, levels: int = 2) -> BuiltDilemma:
 
     ``levels`` only applies to Public Goods and sets the number of evenly
     spaced contribution levels between nothing and the full endowment.
+    Public Goods and Bertrand games come back as a ``Game`` subclass that
+    evaluates expected utilities in closed form.
     """
     if isinstance(spec, PrisonersDilemma):
         b, c = spec.benefit, spec.cost
@@ -142,23 +215,18 @@ def build_game(spec: DilemmaSpec, levels: int = 2) -> BuiltDilemma:
         total = contrib.sum(axis=0)
         payoffs = np.stack([1.0 - contrib[i] + spec.marginal_return * total for i in range(n)], axis=-1)
         labels = tuple(f"{a:g}" for a in amounts)
-        game = Game(tuple(labels for _ in range(n)), payoffs)
+        amounts.setflags(write=False)
+        game = _PublicGoodsGame(tuple(labels for _ in range(n)), payoffs, amounts, spec.marginal_return)
         return BuiltDilemma(game, cooperate=levels - 1, defect=0)
 
     if isinstance(spec, BertrandCompetition):
         n = spec.num_firms
         prices = np.arange(spec.price_floor, spec.price_cap + 1, dtype=float)
-        k = len(prices)
-        idx = np.indices((k,) * n)
-        chosen = prices[idx]
-        lowest = chosen.min(axis=0)
-        ties = (chosen == lowest).sum(axis=0)
-        payoffs = np.stack(
-            [np.where(chosen[i] == lowest, lowest / ties, 0.0) for i in range(n)], axis=-1
-        )
+        payoffs = _bertrand_payoffs(prices, n)
         labels = tuple(str(int(p)) for p in prices)
-        game = Game(tuple(labels for _ in range(n)), payoffs)
-        return BuiltDilemma(game, cooperate=k - 1, defect=0)
+        prices.setflags(write=False)
+        game = _BertrandGame(tuple(labels for _ in range(n)), payoffs, prices)
+        return BuiltDilemma(game, cooperate=len(prices) - 1, defect=0)
 
     raise TypeError(f"unknown dilemma spec {spec!r}")
 
@@ -362,10 +430,10 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
     a, b = _threshold_branches(spec)
     kinks = _kinks([poly.polysub(a, b), a, b, poly.polysub(a, [scale]), poly.polysub(b, [scale])])
     edges = np.concatenate(([0.0], kinks, [1.0]))
-    nodes, weights = legendre.leggauss((len(a) - 1) // 2 + 1)
-    half = np.diff(edges)[:, None] / 2.0
-    betas = np.clip(edges[:-1, None] + half * (nodes + 1.0), 0.0, 1.0)
-    return dist.q * float(np.sum(half * weights * conditional(betas)))
+    nodes, weights = _unit_gauss((len(a) - 1) // 2 + 1)
+    width = np.diff(edges)[:, None]
+    betas = np.clip(edges[:-1, None] + width * nodes, 0.0, 1.0)
+    return dist.q * float(np.sum(width * weights * conditional(betas)))
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,22 @@ across tolerance types so that each type only plays strategies whose regret
 is within its tolerance (type consistency) and the mass-weighted mixture
 reconstructs the player's strategy exactly.  Because the set of strategies a
 type may play only grows with the tolerance, feasibility reduces to
-threshold inequalities: for every atom t, the cumulative type mass up to t
-must fit inside the supported strategy mass with regret <= t.
+threshold inequalities: for every atom t, the supported strategy mass with
+regret above t must fit inside the type mass with tolerance above t.
+Entries at or below eps are not supported, so they demand no type, however
+many of them there are.
 
-The verifier decides this in one pass per player over cumulative masses.
-Mass on a strategy whose regret exceeds every tolerance is reported first;
-otherwise the strategies are sorted by regret once, and the cumulative type
-mass is compared with the cumulative strategy mass at every atom.  When no
-inequality fails, the lowest-regret-first witness is the quantile
-(north-west-corner) coupling of type mass and strategy mass, the same
-coupling ``tolerance.dominance_remap`` uses to move an assignment onto a
-dominating distribution.
+The verifier decides this in one pass per player over tail masses.  Mass on
+a strategy whose regret exceeds every tolerance is reported first;
+otherwise the strategies are sorted by regret once, and at every atom the
+strategy mass above it is compared with the type mass above it.  When no
+inequality fails, every type of the witness plays each entry at or below
+eps with that entry's own probability, so the entry demands no type, and
+fills the rest from the lowest-regret-first quantile (north-west-corner)
+coupling of type mass and supported mass, the same coupling
+``tolerance.dominance_remap`` uses to move an assignment onto a dominating
+distribution.  Each type then carries the same share of the supported mass
+as of the type mass, and the witness rebuilds the mixture exactly.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from .tolerance import (
 
 @dataclass(frozen=True)
 class Violation:
-    """First failed threshold: cumulative type mass F(threshold) exceeds the
-    strategy mass available at that tolerance by excess_mass."""
+    """First failed threshold: the supported strategy mass with regret above
+    threshold exceeds the type mass with tolerance above it by excess_mass."""
 
     player: int
     threshold: float
@@ -74,8 +79,8 @@ def _player_check(
     eps: float,
 ) -> TypeStrategyMap | Violation:
     """Witness for one player, or the first threshold the player fails."""
-    in_support = sigma > eps
-    stranded = in_support & (regret_vec > dist.max_tolerance + eps)
+    supported = sigma > eps
+    stranded = supported & (regret_vec > dist.max_tolerance + eps)
     if stranded.any():
         worst = int(np.argmax(stranded))
         return Violation(
@@ -90,36 +95,46 @@ def _player_check(
         )
 
     order = np.argsort(regret_vec, kind="stable")
-    strategy_cum = np.zeros(len(sigma) + 1)
-    np.cumsum(np.where(in_support, sigma, 0.0)[order], out=strategy_cum[1:])
+    supported_cum = np.zeros(len(sigma) + 1)
+    np.cumsum(np.where(supported, sigma, 0.0)[order], out=supported_cum[1:])
     type_cum = np.cumsum((0.0, *dist.probs))
     tolerances = np.asarray(dist.support) + eps
-    # available[j]: the supported strategy mass with regret <= support[j] + eps
-    available = strategy_cum[np.searchsorted(regret_vec[order], tolerances, side="right")]
-    failed = np.flatnonzero(type_cum[1:] > available + eps)
+    # The supported mass with regret above support[j] + eps must fit inside
+    # the type mass above support[j], plus eps.  With both tails written as
+    # total less cumulative mass, that is one comparison of cumulative masses
+    # whose slack includes the mass no entry above eps carries.
+    kept = supported_cum[np.searchsorted(regret_vec[order], tolerances, side="right")]
+    slack = type_cum[-1] - supported_cum[-1]
+    failed = np.flatnonzero(type_cum[1:] > kept + slack + eps)
     if failed.size:
         j = int(failed[0])
-        t, cumulative, mass = dist.support[j], float(type_cum[j + 1]), float(available[j])
+        t = dist.support[j]
+        demand, room = supported_cum[-1] - kept[j], type_cum[-1] - type_cum[j + 1]
         return Violation(
             player=player,
             threshold=t,
-            excess_mass=cumulative - mass,
+            excess_mass=float(demand - room),
             detail=(
-                f"types with tolerance <= {t:.6g} have mass {cumulative:.6g} but only "
-                f"{mass:.6g} of the strategy mass is consistent with them"
+                f"strategies with regret above {t:.6g} carry mass {demand:.6g} but only "
+                f"{room:.6g} of the type mass has a higher tolerance"
             ),
         )
 
-    alloc = np.empty((len(tolerances), len(sigma)))
-    alloc[:, order] = _quantile_overlap(type_cum, strategy_cum)
-    totals = alloc.sum(axis=1)
+    # Every type plays each entry at or below eps with that entry's own
+    # probability and fills the rest with the same quantile share of the
+    # supported mass, lowest regret first.
+    unsupported = np.where(supported, 0.0, np.maximum(sigma, 0.0))
+    rest = 1.0 - unsupported.sum()
+    shares = np.empty((len(tolerances), len(sigma)))
+    shares[:, order] = _quantile_overlap(type_cum * (rest / type_cum[-1]), supported_cum)
+    totals = shares.sum(axis=1)
     if not totals.all():
         # An atom lighter than eps can lie wholly past the supported mass; it
         # plays a best response, which every tolerance allows.
         empty = totals == 0.0
-        alloc[empty, order[0]] = 1.0
+        shares[empty, order[0]] = 1.0
         totals[empty] = 1.0
-    alloc /= totals[:, None]
+    alloc = unsupported + shares * (rest / totals)[:, None]
     return TypeStrategyMap(dist.support, tuple(MixedStrategy(tuple(row)) for row in alloc.tolist()))
 
 

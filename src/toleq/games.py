@@ -2,9 +2,12 @@
 
 A game holds one payoff tensor of shape ``(*strategy_counts, num_players)``;
 entry ``payoffs[s1, ..., sn, i]`` is player ``i``'s payoff when each player
-``k`` plays pure strategy ``sk``.  All types are immutable after construction
-and all operations are pure functions, so everything here is safe to call
-concurrently.
+``k`` plays pure strategy ``sk``.  The tensor is the game's definition.
+Expected utilities contract it against the opponents' mixtures, unless a
+subclass knows a closed form for the same numbers (the Bertrand and Public
+Goods games that ``dilemmas.build_game`` returns).  All types are immutable
+after construction and all operations are pure functions, so everything here
+is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -61,6 +64,17 @@ class Game:
         return self.strategy_labels == other.strategy_labels and np.array_equal(
             self.payoffs, other.payoffs
         )
+
+    def _utilities(self, opponents: MixedProfile, player: int) -> np.ndarray:
+        """Expected payoff of each of `player`'s pure strategies, contracting
+        the payoff tensor against every other player's mixture."""
+        n = self.num_players
+        operands: list = [self.payoffs[..., player], list(range(n))]
+        for j in range(n):
+            if j != player:
+                operands += [np.asarray(opponents[j].probs), [j]]
+        operands.append([player])
+        return np.einsum(*operands)
 
 
 @dataclass(frozen=True)
@@ -134,16 +148,7 @@ def strategy_utilities(game: Game, opponents: MixedProfile, player: int) -> np.n
     all other components are integrated out by linearity.
     """
     _check_profile(game, opponents)
-    tensor = game.payoffs[..., player]
-    n = game.num_players
-    operands: list = [tensor, list(range(n))]
-    for j in range(n):
-        if j == player:
-            continue
-        operands.append(np.asarray(opponents[j].probs))
-        operands.append([j])
-    operands.append([player])
-    return np.einsum(*operands)
+    return game._utilities(opponents, player)
 
 
 def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:

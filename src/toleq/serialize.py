@@ -2,7 +2,10 @@
 
 All on-disk formats round-trip exactly: parse(write(x)) == x.  The payoff
 tensor is nested player-major, i.e. payoffs[s1][s2]...[sn] is the per-player
-payoff vector at that pure profile.
+payoff vector at that pure profile.  Parsing is strict: a number must be a
+JSON number (not a string or a boolean), a count must be an integer, a label
+must be a string, and every failure raises ``SchemaError`` naming the path
+of the offending value.
 """
 
 from __future__ import annotations
@@ -42,13 +45,31 @@ def _require(obj: Any, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _number(value: Any, path: str) -> float:
+    if type(value) not in (int, float):
+        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _integer(value: Any, path: str) -> int:
+    if type(value) is not int:
+        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def _float_list(value: Any, path: str) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of numbers")
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise SchemaError(path, "expected a list of numbers") from None
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _check_numbers(value: Any, path: str) -> None:
+    """Nested lists whose innermost lists hold only numbers."""
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        for i, item in enumerate(value):
+            _check_numbers(item, f"{path}[{i}]")
+    elif not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise SchemaError(path, "expected nested lists of numbers")
 
 
 def game_to_obj(game: Game) -> dict:
@@ -60,16 +81,17 @@ def game_to_obj(game: Game) -> dict:
 
 
 def game_from_obj(obj: Any, path: str = "game") -> Game:
-    players = _require(obj, "players", path)
+    players = _integer(_require(obj, "players", path), f"{path}.players")
     strategies = _require(obj, "strategies", path)
     payoffs = _require(obj, "payoffs", path)
     if not isinstance(strategies, list) or len(strategies) != players:
         raise SchemaError(path, f"'strategies' must list labels for {players} players")
+    for i, row in enumerate(strategies):
+        if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
+            raise SchemaError(f"{path}.strategies[{i}]", "expected a list of string labels")
+    _check_numbers(payoffs, f"{path}.payoffs")
     try:
-        return Game(
-            tuple(tuple(str(s) for s in row) for row in strategies),
-            np.asarray(payoffs, dtype=float),
-        )
+        return Game(tuple(tuple(row) for row in strategies), np.asarray(payoffs, dtype=float))
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -78,7 +100,8 @@ def profile_to_obj(profile: MixedProfile) -> dict:
     return {"strategies": [list(s.probs) for s in profile.strategies]}
 
 
-def profile_from_obj(obj: Any, path: str = "profile") -> MixedProfile:
+def profile_from_obj(obj: Any, path: str = "profile", game: Game | None = None) -> MixedProfile:
+    """Parse a mixed profile; with ``game``, its strategy counts must match."""
     strategies = _require(obj, "strategies", path)
     if not isinstance(strategies, list) or not strategies:
         raise SchemaError(path, "'strategies' must be a non-empty list")
@@ -88,6 +111,9 @@ def profile_from_obj(obj: Any, path: str = "profile") -> MixedProfile:
             out.append(MixedStrategy(tuple(_float_list(row, f"{path}.strategies[{i}]"))))
         except ValueError as exc:
             raise SchemaError(f"{path}.strategies[{i}]", str(exc)) from None
+    counts = tuple(len(s.probs) for s in out)
+    if game is not None and counts != game.num_strategies:
+        raise SchemaError(path, f"strategy counts {counts} do not match the game's {game.num_strategies}")
     return MixedProfile(tuple(out))
 
 
@@ -120,19 +146,21 @@ def distribution_from_obj(obj: Any, path: str = "distribution"):
                 tuple(_float_list(_require(obj, "probs", path), f"{path}.probs")),
             )
         if kind == "uniform":
-            return UniformCdf(float(_require(obj, "lo", path)), float(_require(obj, "hi", path)))
+            return UniformCdf(
+                _number(_require(obj, "lo", path), f"{path}.lo"),
+                _number(_require(obj, "hi", path), f"{path}.hi"),
+            )
         if kind == "piecewise_linear":
             knots = _require(obj, "knots", path)
-            if not isinstance(knots, list) or any(len(k) != 2 for k in knots):
+            if not isinstance(knots, list) or not all(isinstance(k, list) and len(k) == 2 for k in knots):
                 raise SchemaError(f"{path}.knots", "expected a list of [x, F(x)] pairs")
-            return PiecewiseLinearCdf(
-                tuple(float(k[0]) for k in knots), tuple(float(k[1]) for k in knots)
-            )
+            pairs = [_float_list(k, f"{path}.knots[{i}]") for i, k in enumerate(knots)]
+            return PiecewiseLinearCdf(tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
         if kind == "truncated_exponential":
             return TruncatedExponentialCdf(
-                float(_require(obj, "rate", path)),
-                float(_require(obj, "cap", path)),
-                float(obj.get("shift", 0.0)),
+                _number(_require(obj, "rate", path), f"{path}.rate"),
+                _number(_require(obj, "cap", path), f"{path}.cap"),
+                _number(obj.get("shift", 0.0), f"{path}.shift"),
             )
     except SchemaError:
         raise
@@ -145,10 +173,15 @@ def tolerance_profile_to_obj(pi: DiscreteToleranceProfile) -> dict:
     return {"players": [discrete_dist_to_obj(d) for d in pi.per_player]}
 
 
-def tolerance_profile_from_obj(obj: Any, path: str = "pi") -> DiscreteToleranceProfile:
+def tolerance_profile_from_obj(
+    obj: Any, path: str = "pi", game: Game | None = None
+) -> DiscreteToleranceProfile:
+    """Parse a tolerance profile; with ``game``, it must have one entry per player."""
     players = _require(obj, "players", path)
     if not isinstance(players, list) or not players:
         raise SchemaError(path, "'players' must be a non-empty list of distributions")
+    if game is not None and len(players) != game.num_players:
+        raise SchemaError(path, f"{len(players)} players do not match the game's {game.num_players}")
     dists = []
     for i, entry in enumerate(players):
         dist = distribution_from_obj(entry, f"{path}.players[{i}]")
@@ -198,34 +231,46 @@ def verdict_to_obj(verdict: EquilibriumVerdict) -> dict:
 
 
 def verdict_from_obj(obj: Any, path: str = "verdict") -> EquilibriumVerdict:
-    is_eq = bool(_require(obj, "equilibrium", path))
+    is_eq = _require(obj, "equilibrium", path)
+    if not isinstance(is_eq, bool):
+        raise SchemaError(f"{path}.equilibrium", "expected true or false")
     witness = None
     violation = None
     if "witness" in obj:
-        players = sorted(obj["witness"], key=int)
-        maps = []
-        for key in players:
-            entries = obj["witness"][key]
-            support = sorted(float(t) for t in entries)
-            maps.append(
-                TypeStrategyMap(
-                    tuple(support),
-                    tuple(
-                        MixedStrategy(tuple(float(p) for p in entries[repr(t)]))
-                        for t in support
-                    ),
-                )
-            )
-        witness = tuple(maps)
+        players = obj["witness"]
+        if not players or not isinstance(players, dict) or set(players) != {str(i) for i in range(len(players))}:
+            raise SchemaError(f"{path}.witness", "expected an object keyed by player 0, 1, ...")
+        witness = tuple(_witness_map(players[str(i)], f"{path}.witness.{i}") for i in range(len(players)))
     if "violation" in obj:
         v = obj["violation"]
+        where = f"{path}.violation"
+        detail = _require(v, "detail", where)
+        if not isinstance(detail, str):
+            raise SchemaError(f"{where}.detail", "expected a string")
         violation = Violation(
-            int(_require(v, "player", f"{path}.violation")),
-            float(_require(v, "threshold", f"{path}.violation")),
-            float(_require(v, "excess_mass", f"{path}.violation")),
-            str(_require(v, "detail", f"{path}.violation")),
+            _integer(_require(v, "player", where), f"{where}.player"),
+            _number(_require(v, "threshold", where), f"{where}.threshold"),
+            _number(_require(v, "excess_mass", where), f"{where}.excess_mass"),
+            detail,
         )
-    return EquilibriumVerdict(is_eq, witness, violation)
+    try:
+        return EquilibriumVerdict(is_eq, witness, violation)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
+def _witness_map(entries: Any, path: str) -> TypeStrategyMap:
+    """One player's witness: tolerance (as its repr) -> mixed strategy."""
+    if not isinstance(entries, dict):
+        raise SchemaError(path, "expected an object mapping tolerances to strategies")
+    try:
+        keys = sorted(entries, key=float)
+        return TypeStrategyMap(
+            tuple(float(t) for t in keys),
+            tuple(MixedStrategy(tuple(_float_list(entries[t], f"{path}.{t}"))) for t in keys),
+        )
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def dilemma_spec_to_obj(spec) -> dict:
@@ -246,19 +291,22 @@ def dilemma_spec_from_obj(obj: Any, path: str = "spec"):
     from .dilemmas import BertrandCompetition, PrisonersDilemma, PublicGoods, TravelersDilemma
 
     kind = _require(obj, "kind", path)
+
+    def number(key: str) -> float:
+        return _number(_require(obj, key, path), f"{path}.{key}")
+
+    def integer(key: str) -> int:
+        return _integer(_require(obj, key, path), f"{path}.{key}")
+
     try:
         if kind == "pd":
-            return PrisonersDilemma(float(_require(obj, "b", path)), float(_require(obj, "c", path)))
+            return PrisonersDilemma(number("b"), number("c"))
         if kind == "td":
-            return TravelersDilemma(
-                int(_require(obj, "L", path)), int(_require(obj, "H", path)), int(_require(obj, "b", path))
-            )
+            return TravelersDilemma(integer("L"), integer("H"), integer("b"))
         if kind == "pg":
-            return PublicGoods(int(_require(obj, "N", path)), float(_require(obj, "rho", path)))
+            return PublicGoods(integer("N"), number("rho"))
         if kind == "bertrand":
-            return BertrandCompetition(
-                int(_require(obj, "n", path)), int(_require(obj, "L", path)), int(_require(obj, "H", path))
-            )
+            return BertrandCompetition(integer("n"), integer("L"), integer("H"))
     except SchemaError:
         raise
     except (TypeError, ValueError) as exc:
@@ -276,11 +324,25 @@ def load_json(path: str) -> Any:
             raise SchemaError(path, f"non-finite number {text} is not allowed")
         return value
 
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+            float(value)
+        except (ValueError, OverflowError):
+            raise SchemaError(path, f"integer {text[:20]}... is too large for a float") from None
+        return value
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, parse_float=finite, parse_constant=finite)
+            return json.load(handle, parse_float=finite, parse_int=integer, parse_constant=finite)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
+    except OSError as exc:
+        raise SchemaError(path, exc.strerror or "cannot be read") from None
+    except UnicodeDecodeError:
+        raise SchemaError(path, "not UTF-8 text") from None
+    except RecursionError:
+        raise SchemaError(path, "nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
 

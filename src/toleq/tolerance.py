@@ -109,6 +109,8 @@ class TypeStrategyMap:
         strategies = tuple(self.strategies)
         if len(support) != len(strategies) or not support:
             raise ValueError("support and strategies must be non-empty and aligned")
+        if not all(0.0 <= t < math.inf for t in support):
+            raise ValueError(f"tolerances must be finite and non-negative, got {support}")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
         sizes = {len(s.probs) for s in strategies}

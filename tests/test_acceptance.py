@@ -177,15 +177,17 @@ def test_criterion_05_threshold_cross_validation():
     mismatches = 0
     for spec, t_max in CROSS_VALIDATION:
         built = tq.build_game(spec)
+        # contract the payoff tensor itself, not a built game's closed forms
+        raw_game = tq.Game(built.game.strategy_labels, built.game.payoffs)
         betas = np.linspace(0.0, 1.0, 33)
         t_grid = np.linspace(0.0, t_max, 33) + 1.37e-4  # keep off exact thresholds
         for beta in betas:
-            raw_regret = tq.regret(built.game, tq.beta_mixture_profile(built, float(beta)), 0, built.cooperate)
+            raw_regret = tq.regret(raw_game, tq.beta_mixture_profile(built, float(beta)), 0, built.cooperate)
             threshold = tq.cooperation_threshold(spec, float(beta))
             if abs(raw_regret - threshold) > 1e-9:
                 mismatches += 1
             for t in t_grid:
-                raw = tq.is_consistent(built.game, tq.beta_mixture_profile(built, float(beta)), 0, built.cooperate, float(t))
+                raw = tq.is_consistent(raw_game, tq.beta_mixture_profile(built, float(beta)), 0, built.cooperate, float(t))
                 formula = t >= threshold - EPS
                 if raw != formula and abs(t - threshold) > 10 * EPS:
                     mismatches += 1

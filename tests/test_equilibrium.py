@@ -83,6 +83,56 @@ def test_type_lighter_than_eps_gets_a_consistent_strategy():
     assert tq.witness_is_valid(game, prof, pi, verdict.witness)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (1 - 0.5e-9, 0.5e-9, 0.0, 0.0),
+        (1 - 2e-9, 1e-9, 0.0, 1e-9),
+        (1 - 2.7e-9, 0.9e-9, 0.9e-9, 0.9e-9),
+    ],
+)
+@pytest.mark.parametrize(
+    "dist",
+    [tq.point_mass(0.0), tq.point_mass(0.5), tq.DiscreteToleranceDist((0.0, 0.5), (1 - 1e-6, 1e-6))],
+)
+def test_entries_below_eps_demand_no_type(probs, dist):
+    # claims 3 to 5 have regret 2 or more; each carries at most eps, together
+    # they may exceed eps, and the 0.5 type of the last distribution weighs
+    # 1e-6, so giving it their mass would lift its share of them far above eps
+    built = tq.build_game(tq.TravelersDilemma(2, 5, 2))
+    strategy = tq.MixedStrategy(probs)
+    prof = tq.MixedProfile((strategy, strategy))
+    pi = tq.DiscreteToleranceProfile.iid(dist, 2)
+    verdict = tq.verify_tolerant_equilibrium(built.game, prof, pi)
+    assert verdict.is_equilibrium
+    assert tq.witness_is_valid(built.game, prof, pi, verdict.witness)
+    for g in verdict.witness:
+        assert max(max(s.probs[1:]) for s in g.strategies) <= 1e-9
+        assert g.mixture(dist) == pytest.approx(probs, abs=1e-15)
+
+
+def test_dropped_mass_profile_is_nash():
+    built = tq.build_game(tq.TravelersDilemma(2, 5, 2))
+    strategy = tq.MixedStrategy((1 - 2.7e-9, 0.9e-9, 0.9e-9, 0.9e-9))
+    prof = tq.MixedProfile((strategy, strategy))
+    assert tq.verify_nash(built.game, prof)
+    assert tq.verify_gp_epsilon_nash(built.game, prof, 0.5)
+
+
+def test_stranded_mass_just_above_eps_fails():
+    # claim 5 has regret 2 against claim 2, above the only tolerance 0.5; its
+    # mass exceeds eps by less than the rounding of cumulative sums near 1
+    built = tq.build_game(tq.TravelersDilemma(2, 5, 2))
+    m = 1e-9 + 1e-17
+    strategy = tq.MixedStrategy((1 - m, 0.0, 0.0, m))
+    prof = tq.MixedProfile((strategy, strategy))
+    pi = tq.DiscreteToleranceProfile.iid(tq.point_mass(0.5), 2)
+    verdict = tq.verify_tolerant_equilibrium(built.game, prof, pi)
+    assert not verdict.is_equilibrium
+    assert verdict.violation.threshold == 0.5
+    assert "exceeds every tolerance type" in verdict.violation.detail
+
+
 def test_verify_nash_examples():
     game = pd_game()
     assert tq.verify_nash(game, profile((0, 1), (0, 1)))

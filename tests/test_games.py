@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
+from toleq import serialize
 from toleq_oracles import brute_expected_utility, random_game, random_profile
 
 
@@ -177,3 +178,63 @@ def test_consistency_monotone_in_tolerance(seed, t1, t2):
         for s in range(game.num_strategies[player]):
             if tq.is_consistent(game, prof, player, s, lo):
                 assert tq.is_consistent(game, prof, player, s, hi)
+
+
+def _sparse_profile(rng, game):
+    """Random mixtures that leave out about half of each player's strategies."""
+    strategies = []
+    for k in game.num_strategies:
+        weights = rng.random(k) * (rng.random(k) < 0.5)
+        weights[rng.integers(k)] += rng.random() + 1e-3
+        strategies.append(tq.MixedStrategy(tuple(weights / weights.sum())))
+    return tq.MixedProfile(tuple(strategies))
+
+
+dilemma_specs = st.one_of(
+    st.builds(
+        lambda n, floor, width: (tq.BertrandCompetition(n, floor, floor + width), 2),
+        st.integers(2, 4), st.integers(2, 6), st.integers(1, 12),
+    ),
+    st.builds(
+        lambda n, share, levels: (tq.PublicGoods(n, 1.0 / n + share * (1.0 - 1.0 / n)), levels),
+        st.integers(2, 6), st.floats(0.01, 0.99), st.integers(2, 4),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dilemma_specs, st.integers(0, 10**9))
+def test_closed_form_utilities_match_the_payoff_tensor(spec_levels, seed):
+    spec, levels = spec_levels
+    built = tq.build_game(spec, levels).game
+    assert type(built) is not tq.Game  # the closed forms are under test
+    tensor = tq.Game(built.strategy_labels, built.payoffs)
+    prof = _sparse_profile(np.random.default_rng(seed), built)
+    for player in range(built.num_players):
+        closed = tq.strategy_utilities(built, prof, player)
+        assert np.max(np.abs(closed - tq.strategy_utilities(tensor, prof, player))) <= 1e-12
+
+
+@pytest.mark.parametrize("n, floor, cap", [(2, 2, 9), (3, 2, 20), (4, 3, 15), (5, 2, 7)])
+def test_bertrand_tensor_matches_an_index_grid_construction(n, floor, cap):
+    prices = np.arange(floor, cap + 1, dtype=float)
+    chosen = prices[np.indices((len(prices),) * n)]
+    lowest = chosen.min(axis=0)
+    ties = (chosen == lowest).sum(axis=0)
+    expected = np.stack([np.where(chosen[i] == lowest, lowest / ties, 0.0) for i in range(n)], axis=-1)
+    payoffs = tq.build_game(tq.BertrandCompetition(n, floor, cap)).game.payoffs
+    assert payoffs.dtype == expected.dtype
+    assert payoffs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, levels",
+    [(tq.BertrandCompetition(3, 2, 12), 2), (tq.PublicGoods(4, 0.6), 3), (tq.TravelersDilemma(2, 9, 2), 2)],
+)
+def test_serialized_built_game_gives_the_same_regrets(spec, levels):
+    built = tq.build_game(spec, levels).game
+    loaded = serialize.game_from_obj(serialize.game_to_obj(built))
+    assert loaded == built
+    prof = _sparse_profile(np.random.default_rng(7), built)
+    for player in range(built.num_players):
+        assert np.max(np.abs(tq.regrets(loaded, prof, player) - tq.regrets(built, prof, player))) <= 1e-12

@@ -88,6 +88,21 @@ def test_schema_errors_carry_context():
         serialize.tolerance_profile_from_obj({"players": [{"type": "uniform", "lo": 0, "hi": 1}]})
 
 
+def test_profiles_checked_against_a_game_name_their_path():
+    game = tq.build_game(tq.PrisonersDilemma(5, 2)).game
+    dist = {"type": "discrete", "support": [0.0], "probs": [1.0]}
+    fits = {"strategies": [[0.5, 0.5], [1.0, 0.0]]}
+    assert serialize.profile_from_obj(fits, "p.json", game) == serialize.profile_from_obj(fits)
+    assert len(serialize.tolerance_profile_from_obj({"players": [dist, dist]}, "pi.json", game)) == 2
+    for bad in ({"strategies": [[0.5, 0.5]]}, {"strategies": [[0.5, 0.5], [0.5, 0.25, 0.25]]}):
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.profile_from_obj(bad, "p.json", game)
+        assert err.value.path == "p.json"
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.tolerance_profile_from_obj({"players": [dist]}, "pi.json", game)
+    assert err.value.path == "pi.json"
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -69,9 +69,12 @@ def oracle_tolerant_verdict(game, profile, pi, pi_units, sigma_units, eps=1e-9):
 def reference_violation(game, profile, pi, eps=1e-9):
     """First failed threshold inequality, by plain loops over players and atoms.
 
+    At each atom t, the supported strategy mass (entries above eps) with
+    regret above t + eps must be at most the type mass above t, plus eps.
     Returns None when every inequality holds, else (player, threshold,
-    excess_mass, stranded) where stranded is the lowest index of a supported
-    strategy whose regret exceeds every tolerance, or None.
+    excess_mass, stranded), where excess_mass is that strategy mass less
+    that type mass, and stranded is the lowest index of a supported strategy
+    whose regret exceeds every tolerance, or None.
     """
     for player in range(game.num_players):
         regret_vec = tq.regrets(game, profile, player)
@@ -81,14 +84,13 @@ def reference_violation(game, profile, pi, eps=1e-9):
         stranded = [s for s, p in enumerate(sigma) if p > eps and regret_vec[s] > top + eps]
         if stranded:
             return player, top, sum(sigma[s] for s in stranded), stranded[0]
-        cumulative = 0.0
-        for t, mass in zip(dist.support, dist.probs):
-            cumulative += mass
-            available = sum(
-                p for s, p in enumerate(sigma) if p > eps and regret_vec[s] <= t + eps
+        for j, t in enumerate(dist.support):
+            room = sum(dist.probs[j + 1:])
+            needed = sum(
+                p for s, p in enumerate(sigma) if p > eps and regret_vec[s] > t + eps
             )
-            if cumulative > available + eps:
-                return player, t, cumulative - available, None
+            if needed > room + eps:
+                return player, t, needed - room, None
     return None
 
 
