@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .dilemmas import (
 from .equilibrium import verify_tolerant_equilibrium
 from .numeric import reset_epsnum, set_epsnum
 from .pd_tolerant import (
-    DEFAULT_GRID,
     DEFAULT_TOL_ROOT,
     SWEEPABLE,
     PdPayoffs,
@@ -48,45 +47,6 @@ from .pd_tolerant import (
 )
 from .serialize import SchemaError
 from .tolerance import ContinuousCdf, DiscreteToleranceDist, dist_dominates, dominance_remap, remap_preserves_mixture
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a single command plus its paths and knobs."""
-
-    command: str
-    game: str | None = None
-    profile: str | None = None
-    pi: str | None = None
-    pi_prime: str | None = None
-    g: str | None = None
-    cdf: str | None = None
-    spec: str | None = None
-    out: str | None = None
-    fmt: str = "text"
-    grid: int = DEFAULT_GRID
-    tol: float = DEFAULT_TOL_ROOT
-    samples: int = 10_000
-    seed: int | None = None
-    a: float | None = None
-    b: float | None = None
-    c: float | None = None
-    d: float | None = None
-    kind: str | None = None
-    benefit: float | None = None
-    cost: float | None = None
-    low: int | None = None
-    high: int | None = None
-    bonus: int | None = None
-    n: int | None = None
-    rho: float | None = None
-    beta: float | None = None
-    t_rel: float | None = None
-    disposition: str = "C"
-    q: float = 1.0
-    beta_point: float | None = None
-    param: str | None = None
-    values: str | None = None
 
 
 def _parse_values(text: str) -> list[float]:
@@ -117,36 +77,36 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dilemma_from_config(config: RunConfig):
-    if config.spec is not None:
-        return serialize.dilemma_spec_from_obj(serialize.load_json(config.spec), config.spec)
-    kind = config.kind
+def _dilemma_from_args(args: argparse.Namespace):
+    if args.spec is not None:
+        return serialize.dilemma_spec_from_obj(serialize.load_json(args.spec), args.spec)
+    kind = args.kind
     if kind == "pd":
-        if config.benefit is None or config.cost is None:
+        if args.benefit is None or args.cost is None:
             raise SchemaError("spec", "pd needs --benefit and --cost")
-        return PrisonersDilemma(config.benefit, config.cost)
+        return PrisonersDilemma(args.benefit, args.cost)
     if kind == "td":
-        if None in (config.low, config.high, config.bonus):
+        if None in (args.low, args.high, args.bonus):
             raise SchemaError("spec", "td needs --low, --high and --bonus")
-        return TravelersDilemma(config.low, config.high, config.bonus)
+        return TravelersDilemma(args.low, args.high, args.bonus)
     if kind == "pg":
-        if config.n is None or config.rho is None:
+        if args.n is None or args.rho is None:
             raise SchemaError("spec", "pg needs --n and --rho")
-        return PublicGoods(config.n, config.rho)
+        return PublicGoods(args.n, args.rho)
     if kind == "bertrand":
-        if None in (config.n, config.low, config.high):
+        if None in (args.n, args.low, args.high):
             raise SchemaError("spec", "bertrand needs --n, --low and --high")
-        return BertrandCompetition(config.n, config.low, config.high)
+        return BertrandCompetition(args.n, args.low, args.high)
     raise SchemaError("spec", f"unknown dilemma kind {kind!r}")
 
 
-def cmd_verify(config: RunConfig) -> int:
-    game = serialize.game_from_obj(serialize.load_json(config.game), config.game)
-    profile = serialize.profile_from_obj(serialize.load_json(config.profile), config.profile, game)
-    pi = serialize.tolerance_profile_from_obj(serialize.load_json(config.pi), config.pi, game)
+def cmd_verify(args: argparse.Namespace) -> int:
+    game = serialize.game_from_obj(serialize.load_json(args.game), args.game)
+    profile = serialize.profile_from_obj(serialize.load_json(args.profile), args.profile, game)
+    pi = serialize.tolerance_profile_from_obj(serialize.load_json(args.pi), args.pi, game)
     verdict = verify_tolerant_equilibrium(game, profile, pi)
-    if config.fmt == "structured-object":
-        _emit(json.dumps(serialize.verdict_to_obj(verdict), indent=2) + "\n", config.out)
+    if args.fmt == "structured-object":
+        _emit(json.dumps(serialize.verdict_to_obj(verdict), indent=2) + "\n", args.out)
     else:
         if verdict.is_equilibrium:
             lines = ["equilibrium: yes"]
@@ -162,53 +122,53 @@ def cmd_verify(config: RunConfig) -> int:
                 f"(excess mass {v.excess_mass!r})",
                 f"  {v.detail}",
             ]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict.is_equilibrium else 1
 
 
-def cmd_remap(config: RunConfig) -> int:
-    lo = serialize.distribution_from_obj(serialize.load_json(config.pi), config.pi)
-    hi = serialize.distribution_from_obj(serialize.load_json(config.pi_prime), config.pi_prime)
-    g = serialize.type_strategy_map_from_obj(serialize.load_json(config.g), config.g)
-    for name, dist in ((config.pi, lo), (config.pi_prime, hi)):
+def cmd_remap(args: argparse.Namespace) -> int:
+    lo = serialize.distribution_from_obj(serialize.load_json(args.pi), args.pi)
+    hi = serialize.distribution_from_obj(serialize.load_json(args.pi_prime), args.pi_prime)
+    g = serialize.type_strategy_map_from_obj(serialize.load_json(args.g), args.g)
+    for name, dist in ((args.pi, lo), (args.pi_prime, hi)):
         if not isinstance(dist, DiscreteToleranceDist):
             raise SchemaError(name, "remap requires discrete distributions")
     if not dist_dominates(hi, lo):
         sys.stdout.write("dominance failure: the target does not dominate the source\n")
         return 1
     if not g.matches(lo):
-        raise SchemaError(config.g, f"support {g.support} does not match {config.pi}")
+        raise SchemaError(args.g, f"support {g.support} does not match {args.pi}")
     g_prime = dominance_remap(lo, hi, g)
     if not remap_preserves_mixture(lo, hi, g, g_prime):
         raise ValueError("remapped assignment failed its structural checks")
     payload = json.dumps(serialize.type_strategy_map_to_obj(g_prime), indent=2) + "\n"
-    _emit(payload, config.out)
+    _emit(payload, args.out)
     return 0
 
 
-def cmd_pd_solve(config: RunConfig) -> int:
-    if None in (config.a, config.b, config.c, config.d):
+def cmd_pd_solve(args: argparse.Namespace) -> int:
+    if None in (args.a, args.b, args.c, args.d):
         raise SchemaError("payoffs", "pd-solve needs --a, --b, --c and --d")
-    payoffs = PdPayoffs(cc=config.a, cd=config.b, dc=config.c, dd=config.d)
-    dist = serialize.distribution_from_obj(serialize.load_json(config.cdf), config.cdf)
+    payoffs = PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
+    dist = serialize.distribution_from_obj(serialize.load_json(args.cdf), args.cdf)
 
     if isinstance(dist, DiscreteToleranceDist):
         solutions = solve_discrete(payoffs, dist)
-        if config.fmt == "structured-object":
+        if args.fmt == "structured-object":
             obj = {"exists": bool(solutions), "solutions": solutions}
-            _emit(json.dumps(obj, indent=2) + "\n", config.out)
+            _emit(json.dumps(obj, indent=2) + "\n", args.out)
         elif solutions:
-            _emit("".join(f"alpha_star: {s!r}\n" for s in solutions), config.out)
+            _emit("".join(f"alpha_star: {s!r}\n" for s in solutions), args.out)
         else:
-            _emit("NON-EXISTENCE\n", config.out)
+            _emit("NON-EXISTENCE\n", args.out)
         return 0 if solutions else 1
 
-    report = solve_symmetric(payoffs, dist, grid=config.grid, tol_root=config.tol)
-    if config.out is not None:
-        alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=config.grid)
+    report = solve_symmetric(payoffs, dist, tol_root=args.tol)
+    if args.out is not None:
+        alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=args.grid)
         rows = [[float(x), float(l), float(r)] for x, l, r in zip(alphas, lhs, rhs)]
-        _emit(_csv(["alpha", "lhs", "rhs"], rows), config.out)
-    if config.fmt == "structured-object":
+        _emit(_csv(["alpha", "lhs", "rhs"], rows), args.out)
+    if args.fmt == "structured-object":
         obj = {
             "roots": [
                 {
@@ -222,7 +182,6 @@ def cmd_pd_solve(config: RunConfig) -> int:
             "has_zero_root": report.has_zero_root,
             "uniqueness_certified": report.uniqueness_certified,
             "classification": report.classification,
-            "method": report.method,
         }
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
@@ -238,27 +197,27 @@ def cmd_pd_solve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_threshold(config: RunConfig) -> int:
-    spec = _dilemma_from_config(config)
-    threshold = cooperation_threshold(spec, config.beta)
+def cmd_threshold(args: argparse.Namespace) -> int:
+    spec = _dilemma_from_args(args)
+    threshold = cooperation_threshold(spec, args.beta)
     lines = [f"threshold: {threshold!r}"]
     code = 0
     verdict_obj = {"threshold": threshold}
-    if config.t_rel is not None:
-        beta = config.beta if config.beta is not None else 0.0
-        if config.beta is None and isinstance(spec, (TravelersDilemma, BertrandCompetition)):
+    if args.t_rel is not None:
+        beta = args.beta if args.beta is not None else 0.0
+        if args.beta is None and isinstance(spec, (TravelersDilemma, BertrandCompetition)):
             raise SchemaError("flags", "--t-rel needs --beta for belief-dependent dilemmas")
-        rel = RelativeType(config.t_rel, beta, config.disposition)
-        absolute = relative_to_absolute(spec, config.t_rel)
+        rel = RelativeType(args.t_rel, beta, args.disposition)
+        absolute = relative_to_absolute(spec, args.t_rel)
         cooperates = will_cooperate(spec, rel)
         lines.append(f"absolute_tolerance: {absolute!r}")
         lines.append(f"will_cooperate: {'yes' if cooperates else 'no'}")
         verdict_obj.update({"absolute_tolerance": absolute, "will_cooperate": cooperates})
         code = 0 if cooperates else 1
-    if config.fmt == "structured-object":
-        _emit(json.dumps(verdict_obj, indent=2) + "\n", config.out)
+    if args.fmt == "structured-object":
+        _emit(json.dumps(verdict_obj, indent=2) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return code
 
 
@@ -282,45 +241,45 @@ def _swept_spec(base, kind: str, param: str, value: float):
     return replace(base, **{field_by_cli[param]: cast(value)})
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.values is None or config.param is None:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.values is None or args.param is None:
         raise SchemaError("flags", "sweep needs --param and --values")
-    values = _parse_values(config.values)
+    values = _parse_values(args.values)
 
-    if config.kind == "pd-alpha":
-        if None in (config.a, config.b, config.c, config.d):
+    if args.kind == "pd-alpha":
+        if None in (args.a, args.b, args.c, args.d):
             raise SchemaError("payoffs", "pd-alpha sweeps need --a, --b, --c and --d")
-        if config.param not in SWEEPABLE:
+        if args.param not in SWEEPABLE:
             raise SchemaError("flags", f"--param must be one of {SWEEPABLE}")
-        payoffs = PdPayoffs(cc=config.a, cd=config.b, dc=config.c, dd=config.d)
-        dist = serialize.distribution_from_obj(serialize.load_json(config.cdf), config.cdf)
+        payoffs = PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
+        dist = serialize.distribution_from_obj(serialize.load_json(args.cdf), args.cdf)
         if not isinstance(dist, ContinuousCdf):
-            raise SchemaError(config.cdf, "fixed-point sweeps need a continuous CDF")
-        points = comparative_statics_sweep(payoffs, dist, config.param, values, tol_root=config.tol)
+            raise SchemaError(args.cdf, "fixed-point sweeps need a continuous CDF")
+        points = comparative_statics_sweep(payoffs, dist, args.param, values, tol_root=args.tol)
         rows = [[p.param_value, p.alpha_star, p.branch_id, p.marginal] for p in points]
-        _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), config.out)
+        _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), args.out)
         return 0
 
-    if config.kind not in _RATE_PARAMS:
-        raise SchemaError("flags", f"unknown sweep kind {config.kind!r}")
-    if config.param not in _RATE_PARAMS[config.kind]:
+    if args.kind not in _RATE_PARAMS:
+        raise SchemaError("flags", f"unknown sweep kind {args.kind!r}")
+    if args.param not in _RATE_PARAMS[args.kind]:
         raise SchemaError(
-            "flags", f"kind {config.kind!r} sweeps one of {_RATE_PARAMS[config.kind]}"
+            "flags", f"kind {args.kind!r} sweeps one of {_RATE_PARAMS[args.kind]}"
         )
-    if config.seed is None:
+    if args.seed is None:
         raise SchemaError("flags", "rate sweeps draw Monte Carlo samples; --seed is required")
-    cast = int if config.param in _INT_PARAMS else float
-    base = _dilemma_from_config(replace(config, **{config.param: cast(values[0])}))
-    dist = RelativeTypeDistribution(q=config.q, beta_point=config.beta_point)
+    cast = int if args.param in _INT_PARAMS else float
+    base = _dilemma_from_args(argparse.Namespace(**{**vars(args), args.param: cast(values[0])}))
+    dist = RelativeTypeDistribution(q=args.q, beta_point=args.beta_point)
     child_seeds = [
-        int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(config.seed).spawn(len(values))
+        int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(args.seed).spawn(len(values))
     ]
     rows = []
     for value, child in zip(values, child_seeds):
-        spec = _swept_spec(base, config.kind, config.param, value)
-        rate = cooperation_rate(spec, dist, config.samples, child)
+        spec = _swept_spec(base, args.kind, args.param, value)
+        rate = cooperation_rate(spec, dist, args.samples, child)
         rows.append([float(value), rate.exact_rate, rate.mc_rate, rate.mc_stderr])
-    _emit(_csv([config.param, "exact_rate", "mc_rate", "mc_stderr"], rows), config.out)
+    _emit(_csv([args.param, "exact_rate", "mc_rate", "mc_stderr"], rows), args.out)
     return 0
 
 
@@ -354,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--b", "--c", "--d"):
         p.add_argument(flag, type=float, required=True)
     p.add_argument("--cdf", required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="intervals of the --out curve")
+    p.add_argument("--grid", type=int, default=10_000, help="intervals of the --out curve")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL_ROOT)
     common(p)
 
@@ -404,14 +363,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
     epsnum_override = args.epsnum if args.epsnum is not None else os.environ.get("TOLEQ_EPSNUM")
     token = None
     try:
         if epsnum_override is not None:
             token = set_epsnum(float(epsnum_override))
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

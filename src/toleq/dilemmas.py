@@ -193,6 +193,7 @@ def build_game(spec: DilemmaSpec, levels: int = 2) -> BuiltDilemma:
                 [[b, -c], [0.0, 0.0]],
             ]
         )
+        payoffs.setflags(write=False)
         game = Game((("C", "D"), ("C", "D")), payoffs)
         return BuiltDilemma(game, cooperate=0, defect=1)
 
@@ -202,6 +203,7 @@ def build_game(spec: DilemmaSpec, levels: int = 2) -> BuiltDilemma:
         row = np.where(mine == theirs, mine, np.where(mine < theirs, mine + spec.bonus, theirs - spec.bonus))
         payoffs = np.stack([row, row.T], axis=-1)
         labels = tuple(str(int(m)) for m in claims)
+        payoffs.setflags(write=False)
         game = Game((labels, labels), payoffs)
         return BuiltDilemma(game, cooperate=len(claims) - 1, defect=0)
 
@@ -216,6 +218,7 @@ def build_game(spec: DilemmaSpec, levels: int = 2) -> BuiltDilemma:
         payoffs = np.stack([1.0 - contrib[i] + spec.marginal_return * total for i in range(n)], axis=-1)
         labels = tuple(f"{a:g}" for a in amounts)
         amounts.setflags(write=False)
+        payoffs.setflags(write=False)
         game = _PublicGoodsGame(tuple(labels for _ in range(n)), payoffs, amounts, spec.marginal_return)
         return BuiltDilemma(game, cooperate=levels - 1, defect=0)
 
@@ -225,6 +228,7 @@ def build_game(spec: DilemmaSpec, levels: int = 2) -> BuiltDilemma:
         payoffs = _bertrand_payoffs(prices, n)
         labels = tuple(str(int(p)) for p in prices)
         prices.setflags(write=False)
+        payoffs.setflags(write=False)
         game = _BertrandGame(tuple(labels for _ in range(n)), payoffs, prices)
         return BuiltDilemma(game, cooperate=len(prices) - 1, defect=0)
 

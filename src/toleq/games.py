@@ -45,8 +45,11 @@ class Game:
             )
         if not np.all(np.isfinite(tensor)):
             raise ValueError("payoffs must be finite")
-        tensor = tensor.copy()
-        tensor.setflags(write=False)
+        if tensor.flags.writeable or not tensor.flags.owndata:
+            # a read-only array that owns its data, as build_game hands over,
+            # is kept; any other is copied so the caller cannot change the game
+            tensor = tensor.copy()
+            tensor.setflags(write=False)
         object.__setattr__(self, "strategy_labels", labels)
         object.__setattr__(self, "payoffs", tensor)
 

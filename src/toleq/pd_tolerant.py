@@ -9,22 +9,24 @@ cooperate does, the symmetric cooperation level solves
     1 - alpha = F(alpha * delta_c + (1 - alpha) * delta_d)
 
 The residual h(alpha) = 1 - alpha - F(gap(alpha)) changes form only where the
-linear gap crosses a knot of F, so the shipped CDF families are solved
-exactly between those breakpoints:
+linear gap crosses a knot of F, so each shipped CDF family is solved exactly
+between those breakpoints:
 
 - uniform and piecewise-linear F: h is linear on each piece, solved in
   closed form;
 - truncated-exponential F: h is linear off the support of F and convex on
   it; its minimum there, found in closed form, splits that piece into two
   monotone halves that are bisected;
-- asymmetric two-player systems with uniform or piecewise-linear F on both
-  sides: the composed response is piecewise linear, solved the same way.
+- asymmetric two-player systems, any pairing of the three families: the
+  composed response is cut where either player's gap crosses a knot, and
+  then at its critical points, which lie at most two to a cell; it is
+  monotone between those points, linear when both F are.
 
-h is evaluated at every breakpoint, so a root there, including a tangency,
-cannot be missed.  Any other ContinuousCdf subclass falls back to a grid scan
-plus bisection, and each report names its method.  Discrete tolerance
-distributions give a piecewise-constant response whose pieces are checked
-exactly; there a solution may not exist.
+The residual is evaluated at every breakpoint and critical point, so a root
+there, including a tangency, cannot be missed.  The CDF families are closed:
+any other ContinuousCdf subclass is rejected with a TypeError.  Discrete
+tolerance distributions give a piecewise-constant response whose pieces are
+checked exactly; there a solution may not exist.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .tolerance import (
     UniformCdf,
 )
 
-DEFAULT_GRID = 10_000
 DEFAULT_TOL_ROOT = 1e-12
 
 
@@ -126,13 +127,12 @@ class FixedPointRoot:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Roots of the symmetric fixed point; ``method`` is "exact" or "grid"."""
+    """Roots of the symmetric fixed point, each found exactly."""
 
     roots: tuple[FixedPointRoot, ...]
     has_zero_root: bool
     uniqueness_certified: bool
     classification: str
-    method: str
 
 
 def _require_continuous(cdf) -> None:
@@ -142,20 +142,26 @@ def _require_continuous(cdf) -> None:
         raise TypeError(f"expected a continuous tolerance CDF, got {type(cdf).__name__}")
 
 
-def _check_solver_args(grid: int, tol_root: float) -> None:
-    if grid < 1000:
-        raise ValueError("grid must have at least 1000 points")
+def _check_tol_root(tol_root: float) -> None:
     if tol_root <= 0:
         raise ValueError("root tolerance must be positive")
 
 
-def _linear_knots(cdf: ContinuousCdf):
-    """Knots of a piecewise-linear CDF (a uniform CDF has two), else None."""
+def _knots(cdf: ContinuousCdf) -> tuple[float, ...]:
+    """Where F changes form: the knots of a uniform or piecewise-linear F, the
+    ends of a truncated exponential's support.  Other families have no exact
+    solver and raise TypeError."""
+    _require_continuous(cdf)
     if isinstance(cdf, UniformCdf):
         return (cdf.lo, cdf.hi)
     if isinstance(cdf, PiecewiseLinearCdf):
         return cdf.xs
-    return None
+    if isinstance(cdf, TruncatedExponentialCdf):
+        return (cdf.shift, cdf.shift + cdf.cap)
+    raise TypeError(
+        f"no exact fixed-point solver for the {type(cdf).__name__} family; "
+        "use UniformCdf, PiecewiseLinearCdf or TruncatedExponentialCdf"
+    )
 
 
 def _linear_crossings(x0, x1, y0, y1, targets) -> np.ndarray:
@@ -173,6 +179,18 @@ def _breakpoints(p: PdPayoffs, knots) -> np.ndarray:
     return np.union1d([0.0, 1.0], _linear_crossings(0.0, 1.0, p.delta_d, p.delta_c, knots))
 
 
+def _texp_alpha_at_density(p: PdPayoffs, cdf: TruncatedExponentialCdf, density: float) -> list[float]:
+    """The alpha in (0, 1) at which gap(alpha) lies inside the support of F
+    and F' there equals ``density``, if there is one (F' is monotone there)."""
+    slope = p.delta_c - p.delta_d
+    if density <= 0 or slope == 0:
+        return []
+    norm = -math.expm1(-cdf.rate * cdf.cap)
+    x = cdf.shift + math.log(cdf.rate / (norm * density)) / cdf.rate
+    alpha = (x - p.delta_d) / slope
+    return [alpha] if cdf.shift < x < cdf.shift + cdf.cap and 0.0 < alpha < 1.0 else []
+
+
 def _texp_minimum(p: PdPayoffs, cdf: TruncatedExponentialCdf) -> list[float]:
     """Where h is smallest on the support of a truncated-exponential F.
 
@@ -180,12 +198,52 @@ def _texp_minimum(p: PdPayoffs, cdf: TruncatedExponentialCdf) -> list[float]:
     is convex and h' vanishes at most once, which needs delta_c < delta_d.
     """
     slope = p.delta_c - p.delta_d
-    if slope >= 0:
-        return []
-    norm = -math.expm1(-cdf.rate * cdf.cap)
-    x = cdf.shift + math.log(-slope * cdf.rate / norm) / cdf.rate
-    alpha = (x - p.delta_d) / slope
-    return [alpha] if cdf.shift < x < cdf.shift + cdf.cap and 0.0 < alpha < 1.0 else []
+    return _texp_alpha_at_density(p, cdf, -1.0 / slope) if slope < 0 else []
+
+
+def _density_on_piece(cdf: ContinuousCdf, x: float):
+    """F' on the piece of F that holds x, as a function on that closed piece."""
+    knots = _knots(cdf)
+    k = int(np.searchsorted(knots, x, side="right"))
+    if not 0 < k < len(knots):
+        return lambda y: 0.0
+    if isinstance(cdf, TruncatedExponentialCdf):
+        scale = cdf.rate / -math.expm1(-cdf.rate * cdf.cap)
+        return lambda y: scale * math.exp(-cdf.rate * (y - cdf.shift))
+    slope = (cdf(knots[k]) - cdf(knots[k - 1])) / (knots[k] - knots[k - 1])
+    return lambda y: slope
+
+
+def _with_critical_points(p1, p2, cdf1, cdf2, respond2, points: np.ndarray) -> np.ndarray:
+    """Sorted points, inside whose cells both F keep one form, plus the
+    critical points of phi = R1(R2(a)) - a between them.
+
+    On a cell phi'(a) + 1 = k1 k2 F1'(gap1(R2(a))) F2'(gap2(a)) with
+    k_i = delta_c_i - delta_d_i, so phi' <= -1 when k1 k2 <= 0 or either F'
+    is 0.  Otherwise log(phi' + 1) is convex or concave in a, because log F'
+    is affine on each piece of every shipped family and R2 is affine or
+    convex.  Its derivative has a constant sign unless both F are truncated
+    exponentials; then it vanishes where F2'(gap2(a)) = rate2 / (rate1 k1),
+    and that point is added first.  phi' is then monotone on every cell, and
+    its one zero, if any, is bisected.
+    """
+    k1, k2 = p1.delta_c - p1.delta_d, p2.delta_c - p2.delta_d
+    both_texp = isinstance(cdf1, TruncatedExponentialCdf) and isinstance(cdf2, TruncatedExponentialCdf)
+    if both_texp and k1 * k2 > 0:
+        points = np.union1d(points, _texp_alpha_at_density(p2, cdf2, cdf2.rate / (cdf1.rate * k1)))
+    critical = []
+    for a, b in zip(points[:-1].tolist(), points[1:].tolist()):
+        mid = 0.5 * (a + b)
+        f1 = _density_on_piece(cdf1, _gap(p1, respond2(mid)))
+        f2 = _density_on_piece(cdf2, _gap(p2, mid))
+
+        def dphi(alpha):
+            return k1 * k2 * f1(_gap(p1, respond2(alpha))) * f2(_gap(p2, alpha)) - 1.0
+
+        d_a, d_b = dphi(a), dphi(b)
+        if d_a * d_b < 0:
+            critical.append(_bisect(dphi, a, b, d_a))
+    return np.union1d(points, critical)
 
 
 def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
@@ -256,65 +314,37 @@ def _roots_on_pieces(
     return sorted(roots, key=lambda r: r.alpha_star)
 
 
-def _scan_roots(fn, grid: int, tol_root: float) -> list[FixedPointRoot]:
-    """Roots of a vectorised fn on [0, 1] by grid scan: the fallback for CDFs
-    of unknown shape, which can miss roots closer together than the grid.
-
-    Candidates closer than 0.75 grid spacing merge into the one that is not
-    marginal and has the smallest residual.
-    """
-    alphas = np.linspace(0.0, 1.0, grid + 1)
-    spacing = float(alphas[1] - alphas[0])
-    merged: list[FixedPointRoot] = []
-    for root in _roots_on_pieces(alphas, fn(alphas), fn, tol_root, _bisector(fn)):
-        if merged and root.alpha_star - merged[-1].alpha_star < 0.75 * spacing:
-            merged[-1] = min((merged[-1], root), key=lambda r: (r.marginal, r.residual))
-        else:
-            merged.append(root)
-    return merged
-
-
 def solve_symmetric(
     p: PdPayoffs,
     cdf: ContinuousCdf,
-    grid: int = DEFAULT_GRID,
     tol_root: float = DEFAULT_TOL_ROOT,
     eps: float | None = None,
 ) -> FixedPointReport:
     """All symmetric cooperation levels: roots of h(a) = 1 - a - F(gap(a)) on [0, 1].
 
     At least one root always exists: h is >= 0 at alpha = 0 and <= 0 at
-    alpha = 1, and F is continuous.  For uniform, piecewise-linear and
-    truncated-exponential F the roots are exact (method "exact"); any other
-    CDF is scanned on a grid of ``grid`` intervals (method "grid").  A
-    maximal interval on which h is identically zero is reported by its two
-    endpoints, each bracketed by the interval.
+    alpha = 1, and F is continuous.  F must be uniform, piecewise-linear or
+    truncated-exponential, and the roots are exact.  A maximal interval on
+    which h is identically zero is reported by its two endpoints, each
+    bracketed by the interval.
     """
-    _require_continuous(cdf)
-    _check_solver_args(grid, tol_root)
+    points = _breakpoints(p, _knots(cdf))
+    _check_tol_root(tol_root)
     e = epsnum(eps)
 
     def h(alpha):
         return 1.0 - alpha - cdf(_gap(p, alpha))
 
-    knots = _linear_knots(cdf)
-    method = "exact"
-    if knots is not None:
-        points = _breakpoints(p, knots)
-        roots = _roots_on_pieces(points, h(points), h, tol_root, _line_solver(h))
-    elif isinstance(cdf, TruncatedExponentialCdf):
-        support = (cdf.shift, cdf.shift + cdf.cap)
-        points = np.union1d(_breakpoints(p, support), _texp_minimum(p, cdf))
+    if isinstance(cdf, TruncatedExponentialCdf):
+        points = np.union1d(points, _texp_minimum(p, cdf))
         roots = _roots_on_pieces(points, h(points), h, tol_root, _bisector(h))
     else:
-        roots = _scan_roots(h, grid, tol_root)
-        method = "grid"
+        roots = _roots_on_pieces(points, h(points), h, tol_root, _line_solver(h))
     return FixedPointReport(
         roots=tuple(roots),
         has_zero_root=cdf(p.delta_d) >= 1.0 - e,
         uniqueness_certified=p.delta_c > p.delta_d,
         classification="unique" if p.delta_c > p.delta_d else "possibly-multiple",
-        method=method,
     )
 
 
@@ -351,30 +381,22 @@ def solve_discrete(
     solutions: list[float] = []
     if abs(d_c - d_d) <= e:
         solutions.append(mass_at_least(d_d))
-    elif d_c > d_d:
-        breaks = sorted(
-            {float((t - d_d) / (d_c - d_d)) for t in atoms if 0.0 < (t - d_d) / (d_c - d_d) < 1.0}
-        )
-        value = mass_at_least(gap(0.0))
-        if abs(value) <= e:
-            solutions.append(0.0)
-        boundaries = [0.0] + breaks + [1.0]
-        for lo, hi in zip(boundaries, boundaries[1:]):
-            value = mass_at_least(gap(hi))
-            if lo + e < value <= hi + e:
-                solutions.append(value)
     else:
         breaks = sorted(
             {float((t - d_d) / (d_c - d_d)) for t in atoms if 0.0 < (t - d_d) / (d_c - d_d) < 1.0}
         )
-        boundaries = [0.0] + breaks + [1.0]
-        for lo, hi in zip(boundaries, boundaries[1:]):
-            value = mass_at_least(gap(lo))
-            if lo - e <= value < hi - e:
+        # Walk the pieces in the direction in which the response falls: up
+        # from alpha = 0 when gap grows with alpha, down from 1 otherwise.
+        # Each piece is evaluated at its far end, which it owns; its near end
+        # belongs to the previous piece, or to the check at the start.
+        sign = 1.0 if d_c > d_d else -1.0
+        walk = [0.0, *breaks, 1.0][:: int(sign)]
+        if abs(mass_at_least(gap(walk[0])) - walk[0]) <= e:
+            solutions.append(walk[0])
+        for near, far in zip(walk, walk[1:]):
+            value = mass_at_least(gap(far))
+            if sign * (near + sign * e) < sign * value <= sign * (far + sign * e):
                 solutions.append(value)
-        value = mass_at_least(gap(1.0))
-        if abs(value - 1.0) <= e:
-            solutions.append(1.0)
 
     deduped: list[float] = []
     for s in sorted(solutions):
@@ -388,7 +410,6 @@ def solve_asymmetric(
     p2: PdPayoffs,
     cdf1: ContinuousCdf,
     cdf2: ContinuousCdf,
-    grid: int = DEFAULT_GRID,
     tol_root: float = DEFAULT_TOL_ROOT,
 ) -> list[tuple[float, float]]:
     """Mutually consistent cooperation probabilities (alpha1, alpha2).
@@ -396,16 +417,16 @@ def solve_asymmetric(
     Player i cooperates with the probability that their own tolerance covers
     their own gap at the opponent's cooperation level; substituting player
     2's response R2 into player 1's equation leaves one unknown, a root of
-    R1(R2(alpha1)) - alpha1.  With uniform or piecewise-linear F on both
-    sides that residual is piecewise linear and solved exactly: its
-    breakpoints are where gap2 crosses a knot of F2, and the preimages under
-    the monotone R2 of the alpha2 at which gap1 crosses a knot of F1.  Other
-    CDFs are scanned on a grid of ``grid`` intervals.  As in solve_symmetric,
-    an interval of roots is reported by its two endpoints.
+    phi(alpha1) = R1(R2(alpha1)) - alpha1.  Its breakpoints are where gap2
+    crosses a knot of F2, and the preimages under the monotone R2 of the
+    alpha2 at which gap1 crosses a knot of F1.  With uniform or
+    piecewise-linear F on both sides phi is linear between them and solved
+    exactly; with a truncated exponential on either side the critical points
+    of phi are added, and phi is bisected between them.  As in
+    solve_symmetric, an interval of roots is reported by its two endpoints.
     """
-    _require_continuous(cdf1)
-    _require_continuous(cdf2)
-    _check_solver_args(grid, tol_root)
+    knots1, knots2 = _knots(cdf1), _knots(cdf2)
+    _check_tol_root(tol_root)
 
     def respond1(alpha2):
         return 1.0 - cdf1(_gap(p1, alpha2))
@@ -416,14 +437,21 @@ def solve_asymmetric(
     def phi(alpha1):
         return respond1(respond2(alpha1)) - alpha1
 
-    knots1, knots2 = _linear_knots(cdf1), _linear_knots(cdf2)
-    if knots1 is None or knots2 is None:
-        roots = _scan_roots(phi, grid, tol_root)
+    points = _breakpoints(p2, knots2)
+    targets = _linear_crossings(0.0, 1.0, p1.delta_d, p1.delta_c, knots1)
+    if isinstance(cdf2, TruncatedExponentialCdf):
+        # R2 = 1 - u where gap2 is the quantile shift - log1p(-u (1 - e^(-rate cap))) / rate
+        norm = -math.expm1(-cdf2.rate * cdf2.cap)
+        quantiles = cdf2.shift - np.log1p(-(1.0 - targets) * norm) / cdf2.rate
+        preimages = _linear_crossings(0.0, 1.0, p2.delta_d, p2.delta_c, quantiles)
     else:
-        points = _breakpoints(p2, knots2)
         r2 = respond2(points)
-        targets = _linear_crossings(0.0, 1.0, p1.delta_d, p1.delta_c, knots1)
-        points = np.union1d(points, _linear_crossings(points[:-1], points[1:], r2[:-1], r2[1:], targets))
+        preimages = _linear_crossings(points[:-1], points[1:], r2[:-1], r2[1:], targets)
+    points = np.union1d(points, preimages)
+    if isinstance(cdf1, TruncatedExponentialCdf) or isinstance(cdf2, TruncatedExponentialCdf):
+        points = _with_critical_points(p1, p2, cdf1, cdf2, respond2, points)
+        roots = _roots_on_pieces(points, phi(points), phi, tol_root, _bisector(phi))
+    else:
         roots = _roots_on_pieces(points, phi(points), phi, tol_root, _line_solver(phi))
     return [(r.alpha_star, respond2(r.alpha_star)) for r in roots]
 
@@ -462,7 +490,6 @@ def comparative_statics_sweep(
     cdf: ContinuousCdf,
     parameter: str,
     values: list[float],
-    grid: int = DEFAULT_GRID,
     tol_root: float = DEFAULT_TOL_ROOT,
     eps: float | None = None,
 ) -> list[SweepPoint]:
@@ -477,13 +504,13 @@ def comparative_statics_sweep(
         raise ValueError("sweep needs at least one value")
     rows: list[SweepPoint] = []
     first_p, first_cdf = _instance_for(base, cdf, parameter, values[0])
-    report = solve_symmetric(first_p, first_cdf, grid, tol_root, eps)
+    report = solve_symmetric(first_p, first_cdf, tol_root, eps)
     tracked = [root.alpha_star for root in report.roots]
     for branch_id, root in enumerate(report.roots):
         rows.append(SweepPoint(float(values[0]), root.alpha_star, branch_id, root.marginal))
     for value in values[1:]:
         swept_p, swept_cdf = _instance_for(base, cdf, parameter, value)
-        report = solve_symmetric(swept_p, swept_cdf, grid, tol_root, eps)
+        report = solve_symmetric(swept_p, swept_cdf, tol_root, eps)
         for branch_id, previous in enumerate(tracked):
             nearest = min(report.roots, key=lambda r: abs(r.alpha_star - previous))
             tracked[branch_id] = nearest.alpha_star

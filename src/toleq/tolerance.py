@@ -168,6 +168,11 @@ def transport_plan(
         raise ValueError("target distribution does not stochastically dominate the source")
     weights = _quantile_overlap(np.cumsum((0.0, *hi_dist.probs)), np.cumsum((0.0, *lo_dist.probs)))
     contributing = weights > e
+    # An atom with no overlap above eps (one lighter than eps, say) keeps
+    # every overlap it has rather than dropping out of the plan.
+    light = ~contributing.any(axis=1)
+    if light.any():
+        contributing[light] = weights[light] > 0.0
     weights *= contributing
     fed = contributing.any(axis=1)
     if not fed.all():

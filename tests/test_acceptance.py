@@ -284,7 +284,7 @@ def test_criterion_07_fixed_point_structure():
     for _ in range(50):
         p = _random_pd(rng, delta_c_dominant=bool(rng.integers(0, 2)))
         cdf = _random_cdf(rng)
-        rep = tq.solve_symmetric(p, cdf, grid=2000)
+        rep = tq.solve_symmetric(p, cdf)
         zero_root_ok = zero_root_ok and rep.has_zero_root == (cdf(p.delta_d) >= 1 - EPS)
     by_construction = tq.solve_symmetric(tq.PdPayoffs(3, -1, 5, 0), tq.UniformCdf(0, 1))
     zero_root_ok = zero_root_ok and by_construction.has_zero_root and any(
@@ -294,7 +294,7 @@ def test_criterion_07_fixed_point_structure():
     unique_ok = True
     for _ in range(200):
         p = _random_pd(rng, delta_c_dominant=True)
-        rep = tq.solve_symmetric(p, _random_cdf(rng), grid=2000)
+        rep = tq.solve_symmetric(p, _random_cdf(rng))
         unique_ok = unique_ok and len(rep.roots) == 1 and rep.roots[0].residual <= 1e-9
 
     multi = tq.solve_symmetric(

@@ -174,6 +174,22 @@ def test_remap_round_trip(tmp_path, capsys):
     assert "dominance failure" in capsys.readouterr().out
 
 
+def test_remap_keeps_an_atom_lighter_than_eps(tmp_path, capsys):
+    lo = tq.DiscreteToleranceDist((0.0, 3.0), (0.5, 0.5))
+    hi = tq.DiscreteToleranceDist((0.0, 3.0, 4.0), (0.5, 0.4999999999995, 5e-13))
+    g = tq.TypeStrategyMap((0.0, 3.0), (tq.MixedStrategy((0.0, 1.0)), tq.MixedStrategy((1.0, 0.0))))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("pi", "pi_prime", "g", "out")}
+    serialize.dump_json(serialize.discrete_dist_to_obj(lo), paths["pi"])
+    serialize.dump_json(serialize.discrete_dist_to_obj(hi), paths["pi_prime"])
+    serialize.dump_json(serialize.type_strategy_map_to_obj(g), paths["g"])
+    code = main(["remap", "--pi", paths["pi"], "--pi-prime", paths["pi_prime"], "--g", paths["g"],
+                 "--out", paths["out"]])
+    assert code == 0, capsys.readouterr().err
+    g_prime = serialize.type_strategy_map_from_obj(serialize.load_json(paths["out"]))
+    assert tq.remap_preserves_mixture(lo, hi, g, g_prime)
+    # the light atom at 4 plays what the type at 3 played
+    assert g_prime.strategies[2].probs == pytest.approx((1.0, 0.0))
+
 def make_cdf_file(tmp_path, obj, name="cdf.json"):
     path = tmp_path / name
     serialize.dump_json(obj, str(path))
@@ -215,7 +231,7 @@ def test_pd_solve_rejects_bad_ordering(tmp_path, capsys):
     assert code == 2
 
 
-def test_pd_solve_structured_output_names_method(tmp_path, capsys):
+def test_pd_solve_structured_output_brackets_each_root(tmp_path, capsys):
     cdf = make_cdf_file(tmp_path, {"type": "truncated_exponential", "rate": 1.5, "cap": 3.0})
     code = main(
         ["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", cdf,
@@ -223,7 +239,7 @@ def test_pd_solve_structured_output_names_method(tmp_path, capsys):
     )
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["method"] == "exact"
+    assert "method" not in obj  # every root is exact
     assert [root["bracket"][0] <= root["alpha_star"] <= root["bracket"][1] for root in obj["roots"]] == [True]
 
 

@@ -122,6 +122,35 @@ def test_payoff_tensor_shape_checked():
         tq.Game((("a", "b"), ("a", "b")), np.full((2, 2, 2), np.nan))
 
 
+def test_game_payoffs_do_not_follow_the_callers_array():
+    payoffs = np.zeros((2, 2, 2))
+    game = tq.Game((("a", "b"), ("a", "b")), payoffs)
+    view = tq.Game((("a", "b"), ("a", "b")), payoffs[...])
+    read_only_view = payoffs.view()
+    read_only_view.setflags(write=False)
+    frozen_view = tq.Game((("a", "b"), ("a", "b")), read_only_view)
+    payoffs[0, 0, 0] = 7.0
+    for g in (game, view, frozen_view):
+        assert g.payoffs[0, 0, 0] == 0.0
+        assert not g.payoffs.flags.writeable
+
+
+def test_built_game_holds_the_tensor_build_game_made(monkeypatch):
+    from toleq import dilemmas
+
+    made = []
+
+    def recording_payoffs(prices, n):
+        made.append(bertrand_payoffs(prices, n))
+        return made[-1]
+
+    bertrand_payoffs = dilemmas._bertrand_payoffs
+    monkeypatch.setattr(dilemmas, "_bertrand_payoffs", recording_payoffs)
+    game = tq.build_game(tq.BertrandCompetition(3, 2, 9)).game
+    assert game.payoffs is made[0]
+    assert not game.payoffs.flags.writeable
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_expected_utility_matches_enumeration(seed):

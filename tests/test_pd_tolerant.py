@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import toleq as tq
 from toleq.pd_tolerant import as_game
+from toleq_oracles import scan_and_bisect_roots
 
 EXAMPLE = tq.PdPayoffs(cc=3, cd=-1, dc=5, dd=0)  # delta_c = 2, delta_d = 1
 
@@ -106,7 +107,7 @@ def test_solver_requires_continuous_cdf():
     with pytest.raises(TypeError):
         tq.solve_symmetric(EXAMPLE, tq.point_mass(1.5))
     with pytest.raises(ValueError):
-        tq.solve_symmetric(EXAMPLE, tq.UniformCdf(0, 4), grid=10)
+        tq.solve_symmetric(EXAMPLE, tq.UniformCdf(0, 4), tol_root=0)
 
 
 def test_discrete_point_masses():
@@ -242,7 +243,7 @@ def test_root_always_exists(seed):
     p = tq.PdPayoffs(cc=cc, cd=cd, dc=dc, dd=dd)
     lo = float(rng.uniform(0, 2))
     cdf = tq.UniformCdf(lo, lo + float(rng.uniform(0.3, 5)))
-    report = tq.solve_symmetric(p, cdf, grid=2000)
+    report = tq.solve_symmetric(p, cdf)
     assert len(report.roots) >= 1
     assert all(r.residual <= 1e-9 for r in report.roots)
 
@@ -271,24 +272,14 @@ def test_unique_root_when_delta_c_dominates(seed):
     p = tq.PdPayoffs(cc=cc, cd=cd, dc=dc, dd=dd)
     lo = float(rng.uniform(0, 1))
     cdf = tq.UniformCdf(lo, lo + float(rng.uniform(0.5, 5)))
-    report = tq.solve_symmetric(p, cdf, grid=2000)
+    report = tq.solve_symmetric(p, cdf)
     assert report.uniqueness_certified
     assert len(report.roots) == 1
     assert report.roots[0].residual <= 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Exact solvers for the shipped CDF families, and the grid fallback
-
-
-class HiddenCdf(tq.ContinuousCdf):
-    """Evaluates another CDF but hides its family, so solvers fall back to the grid."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def _evaluate(self, x):
-        return self.inner._evaluate(x)
+# Exact solvers for the shipped CDF families
 
 
 class SmoothstepCdf(tq.ContinuousCdf):
@@ -365,17 +356,12 @@ def test_tangent_root_at_a_knot_is_found():
     assert [r.alpha_star for r in report.roots] == [pytest.approx(0.50005, abs=1e-12), 1.0]
     assert [r.marginal for r in report.roots] == [True, False]
     assert all(r.residual <= 1e-12 for r in report.roots)
-    assert report.method == "exact"
 
 
 def test_zero_piece_is_reported_by_its_endpoints():
     report = tq.solve_symmetric(MULTI_PAYOFFS, ZERO_PIECE_CDF)
     assert [(r.alpha_star, r.bracket) for r in report.roots] == [(0.0, (0.0, 1.0)), (1.0, (0.0, 1.0))]
     assert not any(r.marginal for r in report.roots)
-    # the grid fallback collapses its run of grid hits the same way
-    grid = tq.solve_symmetric(MULTI_PAYOFFS, HiddenCdf(ZERO_PIECE_CDF))
-    assert grid.method == "grid"
-    assert [r.alpha_star for r in grid.roots] == [0.0, 1.0]
     # the asymmetric system with R2 = identity vanishes everywhere too
     pairs = tq.solve_asymmetric(MULTI_PAYOFFS, MULTI_PAYOFFS, ZERO_PIECE_CDF, ZERO_PIECE_CDF)
     assert pairs == [(0.0, pytest.approx(0.0, abs=1e-12)), (1.0, pytest.approx(1.0, abs=1e-12))]
@@ -389,10 +375,24 @@ def test_interior_zero_piece_between_crossing_signs():
     assert all(r.bracket == pytest.approx((0.2, 0.5), abs=1e-12) and not r.marginal for r in report.roots)
 
 
-def test_method_names_the_solver():
-    for cdf in (tq.UniformCdf(0, 4), MULTI_CDF, tq.TruncatedExponentialCdf(1.5, 3.0)):
-        assert tq.solve_symmetric(EXAMPLE, cdf).method == "exact"
-    assert tq.solve_symmetric(EXAMPLE, SmoothstepCdf(0, 4)).method == "grid"
+def test_non_shipped_cdf_family_is_rejected():
+    shipped = (tq.UniformCdf(0, 4), MULTI_CDF, tq.TruncatedExponentialCdf(1.5, 3.0))
+    for cdf in shipped:
+        assert tq.solve_symmetric(EXAMPLE, cdf).roots
+    other = SmoothstepCdf(0, 4)
+    calls = [
+        lambda: tq.solve_symmetric(EXAMPLE, other),
+        lambda: tq.comparative_statics_sweep(EXAMPLE, other, "a", [3.0]),
+    ]
+    for cdf in shipped:
+        calls.append(lambda cdf=cdf: tq.solve_asymmetric(EXAMPLE, EXAMPLE, other, cdf))
+        calls.append(lambda cdf=cdf: tq.solve_asymmetric(EXAMPLE, EXAMPLE, cdf, other))
+    for call in calls:
+        with pytest.raises(TypeError, match="SmoothstepCdf"):
+            call()
+    # plotting samples any continuous CDF
+    alphas, lhs, rhs = tq.fixed_point_curve(EXAMPLE, other)
+    assert rhs == pytest.approx(other(alphas * EXAMPLE.delta_c + (1 - alphas) * EXAMPLE.delta_d))
 
 
 def test_texp_tangency_is_found():
@@ -407,13 +407,24 @@ def test_texp_tangency_is_found():
     report = tq.solve_symmetric(p, cdf)
     assert [r.alpha_star for r in report.roots] == [pytest.approx(alpha_min, abs=1e-9), 1.0]
     assert [r.marginal for r in report.roots] == [True, False]
-    # the grid never sees h cross zero near the minimum
-    assert [r.alpha_star for r in tq.solve_symmetric(p, HiddenCdf(cdf)).roots] == [1.0]
+    # the tangent pair of the two-player system, where phi' vanishes as well
+    pairs = tq.solve_asymmetric(p, p, cdf, cdf)
+    assert pairs == [(pytest.approx(alpha_min, abs=1e-9), pytest.approx(alpha_min, abs=1e-9)), (1.0, 1.0)]
+
+
+def test_asymmetric_texp_with_equal_gains():
+    # delta_c = delta_d for player 1: R1 is constant and phi is monotone
+    flat = tq.PdPayoffs(cc=3, cd=0, dc=4, dd=1)
+    cdf = tq.TruncatedExponentialCdf(1.5, 3.0)
+    alpha = 1.0 - cdf(1.0)
+    assert tq.solve_asymmetric(flat, EXAMPLE, cdf, cdf) == [
+        (pytest.approx(alpha, abs=1e-12), pytest.approx(1.0 - cdf(tq.willingness_gap(EXAMPLE, alpha)), abs=1e-12))
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9), st.booleans())
-def test_exact_roots_match_grid_fallback(seed, steep):
+def test_exact_roots_match_scan_reference(seed, steep):
     rng = np.random.default_rng(seed)
     if steep:
         delta_c, delta_d = sorted(rng.uniform(0.3, 3.5, size=2))
@@ -423,13 +434,11 @@ def test_exact_roots_match_grid_fallback(seed, steep):
     cdf = random_piecewise_linear(rng, p, steep)
     exact = tq.solve_symmetric(p, cdf)
     alphas = [r.alpha_star for r in exact.roots]
-    assert exact.method == "exact" and alphas
+    assert alphas
     assert all(r.residual <= 1e-9 and r.bracket[0] <= r.alpha_star <= r.bracket[1] for r in exact.roots)
     assert_dense_crossings_found(residual_fn(p, cdf), alphas)
     assume(grid_resolves(residual_fn(p, cdf), alphas))
-    grid = tq.solve_symmetric(p, HiddenCdf(cdf))
-    assert grid.method == "grid"
-    assert [r.alpha_star for r in grid.roots] == pytest.approx(alphas, abs=1e-9)
+    assert scan_and_bisect_roots(residual_fn(p, cdf)) == pytest.approx(alphas, abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -443,7 +452,7 @@ def test_texp_roots_match_dense_scan(seed):
     )
     report = tq.solve_symmetric(p, cdf)
     alphas = [r.alpha_star for r in report.roots]
-    assert report.method == "exact" and alphas
+    assert alphas
     assert all(r.residual <= 1e-9 and r.bracket[0] <= r.alpha_star <= r.bracket[1] for r in report.roots)
     assert_dense_crossings_found(residual_fn(p, cdf), alphas)
     # h is convex on the support of F, so no more than two roots lie strictly inside (0, 1)
@@ -472,20 +481,40 @@ def test_exact_asymmetric_pairs_solve_both_responses(seed, steep):
     assert_dense_crossings_found(lambda a: respond(p1, f1, respond(p2, f2, a)) - a, [a1 for a1, _ in pairs])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**9))
-def test_grid_fallback_on_a_smooth_cdf(seed):
+def random_texp(rng):
+    return tq.TruncatedExponentialCdf(
+        float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.0, 2.0))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([(True, False), (False, True), (True, True)]))
+def test_asymmetric_texp_pairs_solve_both_responses(seed, texp_sides):
     rng = np.random.default_rng(seed)
-    delta_c, delta_d = rng.uniform(0.2, 4.0, size=2)
-    p = random_payoffs(rng, float(delta_c), float(delta_d))
-    lo = float(rng.uniform(0.0, 2.0))
-    cdf = SmoothstepCdf(lo, lo + float(rng.uniform(0.5, 4.0)))
-    report = tq.solve_symmetric(p, cdf)
-    assert report.method == "grid" and report.roots
-    assert all(r.residual <= 1e-9 and r.bracket[0] <= r.alpha_star <= r.bracket[1] for r in report.roots)
-    assert_dense_crossings_found(residual_fn(p, cdf), [r.alpha_star for r in report.roots])
-    pairs = tq.solve_asymmetric(p, p, cdf, cdf)
-    assert any(a1 == pytest.approx(a2, abs=1e-9) for a1, a2 in pairs)
+    players = []
+    for texp in texp_sides:
+        delta_c, delta_d = rng.uniform(0.2, 4.0, size=2)
+        p = random_payoffs(rng, float(delta_c), float(delta_d))
+        players.append((p, random_texp(rng) if texp else random_piecewise_linear(rng, p, bool(rng.integers(2)))))
+    (p1, f1), (p2, f2) = players
+    pairs = tq.solve_asymmetric(p1, p2, f1, f2)
+    assert pairs
+
+    def respond(p, cdf, a):
+        return 1.0 - cdf(a * p.delta_c + (1.0 - a) * p.delta_d)
+
+    for a1, a2 in pairs:
+        assert a1 == pytest.approx(respond(p1, f1, a2), abs=1e-9)
+        assert a2 == pytest.approx(respond(p2, f2, a1), abs=1e-9)
+    assert_dense_crossings_found(lambda a: respond(p1, f1, respond(p2, f2, a)) - a, [a1 for a1, _ in pairs])
+    # with both players alike, every symmetric root sits on the diagonal
+    p, cdf = players[0] if texp_sides[0] else players[1]
+    diagonal = tq.solve_asymmetric(p, p, cdf, cdf)
+    for root in tq.solve_symmetric(p, cdf).roots:
+        assert any(
+            a1 == pytest.approx(root.alpha_star, abs=1e-9) and a2 == pytest.approx(root.alpha_star, abs=1e-9)
+            for a1, a2 in diagonal
+        )
 
 
 def test_non_finite_payoffs_rejected():

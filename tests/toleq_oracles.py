@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's computation paths: expected
 utilities are plain loops over pure profiles, feasibility goes through an
 integer max-flow, the first failed threshold inequality is found by plain
-loops over atoms and strategies, and the Bertrand share factor is enumerated
-outcome by outcome.
+loops over atoms and strategies, the Bertrand share factor is enumerated
+outcome by outcome, and fixed-point roots come from a grid scan with
+bisection.
 """
 
 from __future__ import annotations
@@ -106,6 +107,39 @@ def is_standard_epsilon_nash(game, profile, epsilon, tol=1e-12):
             if deviation > current + epsilon + tol:
                 return False
     return True
+
+
+def scan_and_bisect_roots(fn, intervals=10_000, tol=1e-12):
+    """Roots of fn on [0, 1] by a plain loop over a uniform grid.
+
+    fn takes an array of alphas, evaluated once on the grid.  A grid point
+    with |fn| <= tol is a root; every other cell whose ends have opposite
+    signs is bisected.  Roots closer together than a cell, and tangencies
+    between grid points, are missed, so callers compare only on instances
+    the grid resolves.
+    """
+    alphas = [k / intervals for k in range(intervals + 1)]
+    values = [float(v) for v in fn(np.array(alphas))]
+    roots = []
+    for k, (alpha, value) in enumerate(zip(alphas, values)):
+        if abs(value) <= tol:
+            roots.append(alpha)
+        elif k and abs(values[k - 1]) > tol and (values[k - 1] > 0) != (value > 0):
+            lo, hi, f_lo = alphas[k - 1], alpha, values[k - 1]
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                f_mid = float(fn(np.array([mid]))[0])
+                if f_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if (f_mid > 0) == (f_lo > 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    return roots
 
 
 def bertrand_f_enum(n, beta):
