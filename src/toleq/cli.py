@@ -37,7 +37,6 @@ from .dilemmas import (
 from .equilibrium import verify_tolerant_equilibrium
 from .numeric import reset_epsnum, set_epsnum
 from .pd_tolerant import (
-    DEFAULT_TOL_ROOT,
     SWEEPABLE,
     PdPayoffs,
     comparative_statics_sweep,
@@ -163,7 +162,7 @@ def cmd_pd_solve(args: argparse.Namespace) -> int:
             _emit("NON-EXISTENCE\n", args.out)
         return 0 if solutions else 1
 
-    report = solve_symmetric(payoffs, dist, tol_root=args.tol)
+    report = solve_symmetric(payoffs, dist)
     if args.out is not None:
         alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=args.grid)
         rows = [[float(x), float(l), float(r)] for x, l, r in zip(alphas, lhs, rhs)]
@@ -230,15 +229,14 @@ _RATE_PARAMS = {
 _INT_PARAMS = {"n", "low", "high", "bonus"}
 
 
-def _swept_spec(base, kind: str, param: str, value: float):
+def _swept_spec(base, kind: str, param: str, value: int | float):
     field_by_cli = {
         "pd": {"benefit": "benefit", "cost": "cost"},
         "td": {"bonus": "bonus", "low": "low", "high": "high"},
         "pg": {"rho": "marginal_return", "n": "num_players"},
         "bertrand": {"low": "price_floor", "n": "num_firms", "high": "price_cap"},
     }[kind]
-    cast = int if param in _INT_PARAMS else float
-    return replace(base, **{field_by_cli[param]: cast(value)})
+    return replace(base, **{field_by_cli[param]: value})
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -255,7 +253,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dist = serialize.distribution_from_obj(serialize.load_json(args.cdf), args.cdf)
         if not isinstance(dist, ContinuousCdf):
             raise SchemaError(args.cdf, "fixed-point sweeps need a continuous CDF")
-        points = comparative_statics_sweep(payoffs, dist, args.param, values, tol_root=args.tol)
+        points = comparative_statics_sweep(payoffs, dist, args.param, values)
         rows = [[p.param_value, p.alpha_star, p.branch_id, p.marginal] for p in points]
         _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), args.out)
         return 0
@@ -268,8 +266,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.seed is None:
         raise SchemaError("flags", "rate sweeps draw Monte Carlo samples; --seed is required")
-    cast = int if args.param in _INT_PARAMS else float
-    base = _dilemma_from_args(argparse.Namespace(**{**vars(args), args.param: cast(values[0])}))
+    if args.param in _INT_PARAMS:
+        bad = [v for v in values if not v.is_integer()]
+        if bad:
+            raise SchemaError("--values", f"--param {args.param} takes integers, got {bad[0]!r}")
+        values = [int(v) for v in values]
+    base = _dilemma_from_args(argparse.Namespace(**{**vars(args), args.param: values[0]}))
     dist = RelativeTypeDistribution(q=args.q, beta_point=args.beta_point)
     child_seeds = [
         int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(args.seed).spawn(len(values))
@@ -314,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=float, required=True)
     p.add_argument("--cdf", required=True)
     p.add_argument("--grid", type=int, default=10_000, help="intervals of the --out curve")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL_ROOT)
     common(p)
 
     def spec_flags(p: argparse.ArgumentParser) -> None:
@@ -346,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--b", "--c", "--d"):
         p.add_argument(flag, type=float, default=None)
     p.add_argument("--cdf", default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL_ROOT)
     common(p)
 
     return parser
@@ -363,11 +363,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    epsnum_override = args.epsnum if args.epsnum is not None else os.environ.get("TOLEQ_EPSNUM")
+    source = "--epsnum" if args.epsnum is not None else "TOLEQ_EPSNUM"
+    value = args.epsnum if args.epsnum is not None else os.environ.get(source)
     token = None
     try:
-        if epsnum_override is not None:
-            token = set_epsnum(float(epsnum_override))
+        if value is not None:
+            try:
+                token = set_epsnum(value)
+            except ValueError as exc:
+                raise SchemaError(source, str(exc)) from None
         return _COMMANDS[args.command](args)
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")

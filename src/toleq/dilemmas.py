@@ -330,12 +330,12 @@ class RelativeType:
             raise ValueError("disposition must be 'C' or 'D'")
 
 
-def will_cooperate(spec: DilemmaSpec, rel_type: RelativeType, eps: float | None = None) -> bool:
+def will_cooperate(spec: DilemmaSpec, rel_type: RelativeType) -> bool:
     """Whether a relative type cooperates: C-disposed and tolerant enough."""
     if rel_type.disposition != "C":
         return False
     threshold = cooperation_threshold(spec, rel_type.beta)
-    return relative_to_absolute(spec, rel_type.t_rel) >= threshold - epsnum(eps)
+    return relative_to_absolute(spec, rel_type.t_rel) >= threshold - epsnum()
 
 
 Sampler = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -452,18 +452,16 @@ def cooperation_rate(
     dist: RelativeTypeDistribution,
     samples: int,
     seed: int,
-    eps: float | None = None,
 ) -> CooperationRate:
     """Monte Carlo cooperation rate (deterministic per seed), with the exact
     rate attached whenever the distribution supports it."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    e = epsnum(eps)
     rng = np.random.default_rng(seed)
     t_rel, beta, is_c = dist.sample(rng, samples)
     thresholds = cooperation_threshold(spec, np.asarray(beta, dtype=float))
     scale = all_cooperate_payoff(spec)
-    cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - e)
+    cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - epsnum())
     rate = float(cooperates.mean())
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
     exact = None if dist.sampler is not None else exact_cooperation_rate(spec, dist)

@@ -72,13 +72,10 @@ def _check_pi(game: Game, pi: DiscreteToleranceProfile) -> None:
 
 
 def _player_check(
-    sigma: np.ndarray,
-    regret_vec: np.ndarray,
-    dist: DiscreteToleranceDist,
-    player: int,
-    eps: float,
+    sigma: np.ndarray, regret_vec: np.ndarray, dist: DiscreteToleranceDist, player: int
 ) -> TypeStrategyMap | Violation:
     """Witness for one player, or the first threshold the player fails."""
+    eps = epsnum()
     supported = sigma > eps
     stranded = supported & (regret_vec > dist.max_tolerance + eps)
     if stranded.any():
@@ -139,37 +136,31 @@ def _player_check(
 
 
 def verify_tolerant_equilibrium(
-    game: Game,
-    profile: MixedProfile,
-    pi: DiscreteToleranceProfile,
-    eps: float | None = None,
+    game: Game, profile: MixedProfile, pi: DiscreteToleranceProfile
 ) -> EquilibriumVerdict:
     """Check decomposition feasibility for every player, building a witness if it holds."""
-    e = epsnum(eps)
     _check_pi(game, pi)
     witnesses = []
     for player in range(game.num_players):
         sigma = np.asarray(profile[player].probs)
-        outcome = _player_check(sigma, regrets(game, profile, player), pi[player], player, e)
+        outcome = _player_check(sigma, regrets(game, profile, player), pi[player], player)
         if isinstance(outcome, Violation):
             return EquilibriumVerdict(False, None, outcome)
         witnesses.append(outcome)
     return EquilibriumVerdict(True, tuple(witnesses), None)
 
 
-def verify_gp_epsilon_nash(
-    game: Game, profile: MixedProfile, epsilon: float, eps: float | None = None
-) -> bool:
+def verify_gp_epsilon_nash(game: Game, profile: MixedProfile, epsilon: float) -> bool:
     """Support-restricted epsilon-Nash test: every supported strategy must be
     an epsilon-best response, i.e. a tolerant equilibrium under a point mass
     at epsilon."""
     pi = DiscreteToleranceProfile.iid(point_mass(epsilon), game.num_players)
-    return verify_tolerant_equilibrium(game, profile, pi, eps).is_equilibrium
+    return verify_tolerant_equilibrium(game, profile, pi).is_equilibrium
 
 
-def verify_nash(game: Game, profile: MixedProfile, eps: float | None = None) -> bool:
+def verify_nash(game: Game, profile: MixedProfile) -> bool:
     """Nash test: every player's supported strategies are exact best responses."""
-    return verify_gp_epsilon_nash(game, profile, 0.0, eps)
+    return verify_gp_epsilon_nash(game, profile, 0.0)
 
 
 def _symmetric_profile(alpha: float) -> MixedProfile:
@@ -185,30 +176,24 @@ def _check_symmetric_2x2(game: Game) -> None:
 
 
 def find_symmetric_2x2_equilibria(
-    game: Game,
-    pi: DiscreteToleranceProfile,
-    grid: int,
-    eps: float | None = None,
+    game: Game, pi: DiscreteToleranceProfile, grid: int
 ) -> list[MixedProfile]:
     """All symmetric profiles (alpha on strategy 0) on the grid that verify."""
     _check_symmetric_2x2(game)
     out = []
     for alpha in np.linspace(0.0, 1.0, grid):
         profile = _symmetric_profile(float(alpha))
-        if verify_tolerant_equilibrium(game, profile, pi, eps).is_equilibrium:
+        if verify_tolerant_equilibrium(game, profile, pi).is_equilibrium:
             out.append(profile)
     return out
 
 
 def symmetric_alpha_intervals(
-    game: Game,
-    pi: DiscreteToleranceProfile,
-    grid: int,
-    eps: float | None = None,
+    game: Game, pi: DiscreteToleranceProfile, grid: int
 ) -> list[tuple[float, float]]:
     """Passing grid alphas merged into maximal runs, reported by endpoints."""
     alphas = np.linspace(0.0, 1.0, grid)
-    found = find_symmetric_2x2_equilibria(game, pi, grid, eps)
+    found = find_symmetric_2x2_equilibria(game, pi, grid)
     passing = np.isin(alphas, [profile[0].probs[0] for profile in found])
     edges = np.diff(np.concatenate(([0], passing.astype(int), [0])))
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
@@ -216,15 +201,11 @@ def symmetric_alpha_intervals(
 
 
 def witness_is_valid(
-    game: Game,
-    profile: MixedProfile,
-    pi: DiscreteToleranceProfile,
-    witness: tuple[TypeStrategyMap, ...],
-    eps: float | None = None,
-    mix_tol: float = 1e-9,
+    game: Game, profile: MixedProfile, pi: DiscreteToleranceProfile, witness: tuple[TypeStrategyMap, ...]
 ) -> bool:
-    """Check an explicit witness: type consistency plus exact mixture reconstruction."""
-    e = epsnum(eps)
+    """Check an explicit witness: type consistency plus mixture reconstruction,
+    both at the comparison tolerance."""
+    eps = epsnum()
     for player in range(game.num_players):
         g = witness[player]
         dist = pi[player]
@@ -232,10 +213,10 @@ def witness_is_valid(
             return False
         regret_vec = regrets(game, profile, player)
         for t, strategy in zip(g.support, g.strategies):
-            for s in strategy.support(e):
-                if regret_vec[s] > t + e:
+            for s in strategy.support():
+                if regret_vec[s] > t + eps:
                     return False
         mixture = g.mixture(dist)
-        if np.max(np.abs(mixture - np.asarray(profile[player].probs))) > mix_tol:
+        if np.max(np.abs(mixture - np.asarray(profile[player].probs))) > eps:
             return False
     return True

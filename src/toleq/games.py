@@ -98,10 +98,10 @@ class MixedStrategy:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         object.__setattr__(self, "probs", probs)
 
-    def support(self, eps: float | None = None) -> tuple[int, ...]:
-        """Indices carrying positive probability."""
-        e = epsnum(eps)
-        return tuple(i for i, p in enumerate(self.probs) if p > e)
+    def support(self) -> tuple[int, ...]:
+        """Indices carrying probability above the comparison tolerance."""
+        eps = epsnum()
+        return tuple(i for i, p in enumerate(self.probs) if p > eps)
 
     @staticmethod
     def pure(index: int, size: int) -> "MixedStrategy":
@@ -177,9 +177,8 @@ def is_consistent(
     player: int,
     strategy: int,
     t: float,
-    eps: float | None = None,
 ) -> bool:
     """Whether `strategy` is a t-best response to the opponents' mixture."""
     if t < 0:
         raise ValueError(f"tolerance must be non-negative, got {t}")
-    return regret(game, opponents, player, strategy) <= t + epsnum(eps)
+    return regret(game, opponents, player, strategy) <= t + epsnum()

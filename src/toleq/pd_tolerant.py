@@ -23,7 +23,10 @@ between those breakpoints:
   monotone between those points, linear when both F are.
 
 The residual is evaluated at every breakpoint and critical point, so a root
-there, including a tangency, cannot be missed.  The CDF families are closed:
+there, including a tangency, cannot be missed; such a point is a root when
+its residual is at most 1e-12, a fixed threshold.  The comparison tolerance
+``numeric.epsnum()`` decides only ``has_zero_root`` and the ties and
+duplicates of discrete solutions.  The CDF families are closed:
 any other ContinuousCdf subclass is rejected with a TypeError.  Discrete
 tolerance distributions give a piecewise-constant response whose pieces are
 checked exactly; there a solution may not exist.
@@ -46,7 +49,10 @@ from .tolerance import (
     UniformCdf,
 )
 
-DEFAULT_TOL_ROOT = 1e-12
+# A point of the residual counts as a root when |residual| is at or below
+# this.  It is not the comparison tolerance: at 1e-9, a residual that only
+# comes near zero at a breakpoint would be reported as a root.
+_ROOT_RESIDUAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,11 +146,6 @@ def _require_continuous(cdf) -> None:
         raise TypeError("tolerance distribution has atoms; use solve_discrete")
     if not isinstance(cdf, ContinuousCdf):
         raise TypeError(f"expected a continuous tolerance CDF, got {type(cdf).__name__}")
-
-
-def _check_tol_root(tol_root: float) -> None:
-    if tol_root <= 0:
-        raise ValueError("root tolerance must be positive")
 
 
 def _knots(cdf: ContinuousCdf) -> tuple[float, ...]:
@@ -279,19 +280,17 @@ def _bisector(fn):
     return lambda a, b, f_a, f_b: _bisect(fn, a, b, f_a)
 
 
-def _roots_on_pieces(
-    points: np.ndarray, values: np.ndarray, fn, tol_root: float, solve_piece
-) -> list[FixedPointRoot]:
+def _roots_on_pieces(points: np.ndarray, values: np.ndarray, fn, solve_piece) -> list[FixedPointRoot]:
     """Roots of fn from its values at sorted points, fn monotone between them.
 
-    A point with |fn| <= tol_root is a root.  A maximal run of such points is
-    an interval on which fn vanishes, reported by its two endpoints.  Such a
-    root is marginal when fn has the same strict sign on both sides of it
+    A point with |fn| <= _ROOT_RESIDUAL is a root.  A maximal run of such
+    points is an interval on which fn vanishes, reported by its two endpoints.
+    Such a root is marginal when fn has the same strict sign on both sides of it
     (the curve touches zero without crossing).  Every other piece whose ends
     have opposite signs holds one root, found by
     solve_piece(a, b, fn(a), fn(b)).
     """
-    zero = np.abs(values) <= tol_root
+    zero = np.abs(values) <= _ROOT_RESIDUAL
     positive = values > 0.0
     last = len(points) - 1
     roots: list[FixedPointRoot] = []
@@ -314,12 +313,7 @@ def _roots_on_pieces(
     return sorted(roots, key=lambda r: r.alpha_star)
 
 
-def solve_symmetric(
-    p: PdPayoffs,
-    cdf: ContinuousCdf,
-    tol_root: float = DEFAULT_TOL_ROOT,
-    eps: float | None = None,
-) -> FixedPointReport:
+def solve_symmetric(p: PdPayoffs, cdf: ContinuousCdf) -> FixedPointReport:
     """All symmetric cooperation levels: roots of h(a) = 1 - a - F(gap(a)) on [0, 1].
 
     At least one root always exists: h is >= 0 at alpha = 0 and <= 0 at
@@ -329,20 +323,18 @@ def solve_symmetric(
     bracketed by the interval.
     """
     points = _breakpoints(p, _knots(cdf))
-    _check_tol_root(tol_root)
-    e = epsnum(eps)
 
     def h(alpha):
         return 1.0 - alpha - cdf(_gap(p, alpha))
 
     if isinstance(cdf, TruncatedExponentialCdf):
         points = np.union1d(points, _texp_minimum(p, cdf))
-        roots = _roots_on_pieces(points, h(points), h, tol_root, _bisector(h))
+        roots = _roots_on_pieces(points, h(points), h, _bisector(h))
     else:
-        roots = _roots_on_pieces(points, h(points), h, tol_root, _line_solver(h))
+        roots = _roots_on_pieces(points, h(points), h, _line_solver(h))
     return FixedPointReport(
         roots=tuple(roots),
-        has_zero_root=cdf(p.delta_d) >= 1.0 - e,
+        has_zero_root=cdf(p.delta_d) >= 1.0 - epsnum(),
         uniqueness_certified=p.delta_c > p.delta_d,
         classification="unique" if p.delta_c > p.delta_d else "possibly-multiple",
     )
@@ -357,16 +349,14 @@ def fixed_point_curve(p: PdPayoffs, cdf: ContinuousCdf, grid: int = 1000):
     return alphas, lhs, np.asarray(rhs)
 
 
-def solve_discrete(
-    p: PdPayoffs, pi: DiscreteToleranceDist, eps: float | None = None
-) -> list[float]:
+def solve_discrete(p: PdPayoffs, pi: DiscreteToleranceDist) -> list[float]:
     """Self-consistent cooperation levels under a finite tolerance distribution.
 
     Ties cooperate: a type whose tolerance equals the gap plays C.  The
     response map is piecewise constant in alpha, so each piece is checked
     exactly; an empty result means no such equilibrium exists.
     """
-    e = epsnum(eps)
+    e = epsnum()
     atoms = np.asarray(pi.support)
     suffix = np.concatenate((np.cumsum(np.asarray(pi.probs)[::-1])[::-1], [0.0]))
 
@@ -410,7 +400,6 @@ def solve_asymmetric(
     p2: PdPayoffs,
     cdf1: ContinuousCdf,
     cdf2: ContinuousCdf,
-    tol_root: float = DEFAULT_TOL_ROOT,
 ) -> list[tuple[float, float]]:
     """Mutually consistent cooperation probabilities (alpha1, alpha2).
 
@@ -426,7 +415,6 @@ def solve_asymmetric(
     solve_symmetric, an interval of roots is reported by its two endpoints.
     """
     knots1, knots2 = _knots(cdf1), _knots(cdf2)
-    _check_tol_root(tol_root)
 
     def respond1(alpha2):
         return 1.0 - cdf1(_gap(p1, alpha2))
@@ -450,9 +438,9 @@ def solve_asymmetric(
     points = np.union1d(points, preimages)
     if isinstance(cdf1, TruncatedExponentialCdf) or isinstance(cdf2, TruncatedExponentialCdf):
         points = _with_critical_points(p1, p2, cdf1, cdf2, respond2, points)
-        roots = _roots_on_pieces(points, phi(points), phi, tol_root, _bisector(phi))
+        roots = _roots_on_pieces(points, phi(points), phi, _bisector(phi))
     else:
-        roots = _roots_on_pieces(points, phi(points), phi, tol_root, _line_solver(phi))
+        roots = _roots_on_pieces(points, phi(points), phi, _line_solver(phi))
     return [(r.alpha_star, respond2(r.alpha_star)) for r in roots]
 
 
@@ -486,12 +474,7 @@ def _instance_for(base: PdPayoffs, cdf: ContinuousCdf, parameter: str, value: fl
 
 
 def comparative_statics_sweep(
-    base: PdPayoffs,
-    cdf: ContinuousCdf,
-    parameter: str,
-    values: list[float],
-    tol_root: float = DEFAULT_TOL_ROOT,
-    eps: float | None = None,
+    base: PdPayoffs, cdf: ContinuousCdf, parameter: str, values: list[float]
 ) -> list[SweepPoint]:
     """Re-solve the symmetric fixed point along a parameter sweep.
 
@@ -504,13 +487,13 @@ def comparative_statics_sweep(
         raise ValueError("sweep needs at least one value")
     rows: list[SweepPoint] = []
     first_p, first_cdf = _instance_for(base, cdf, parameter, values[0])
-    report = solve_symmetric(first_p, first_cdf, tol_root, eps)
+    report = solve_symmetric(first_p, first_cdf)
     tracked = [root.alpha_star for root in report.roots]
     for branch_id, root in enumerate(report.roots):
         rows.append(SweepPoint(float(values[0]), root.alpha_star, branch_id, root.marginal))
     for value in values[1:]:
         swept_p, swept_cdf = _instance_for(base, cdf, parameter, value)
-        report = solve_symmetric(swept_p, swept_cdf, tol_root, eps)
+        report = solve_symmetric(swept_p, swept_cdf)
         for branch_id, previous in enumerate(tracked):
             nearest = min(report.roots, key=lambda r: abs(r.alpha_star - previous))
             tracked[branch_id] = nearest.alpha_star

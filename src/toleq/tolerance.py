@@ -79,22 +79,18 @@ class DiscreteToleranceProfile:
         return DiscreteToleranceProfile(tuple(dist for _ in range(num_players)))
 
 
-def dist_dominates(
-    hi: DiscreteToleranceDist, lo: DiscreteToleranceDist, eps: float | None = None
-) -> bool:
+def dist_dominates(hi: DiscreteToleranceDist, lo: DiscreteToleranceDist) -> bool:
     """Whether hi's CDF lies pointwise at or below lo's (mass shifted right)."""
-    e = epsnum(eps)
+    eps = epsnum()
     points = sorted(set(hi.support) | set(lo.support))
-    return all(hi.cdf(t) <= lo.cdf(t) + e for t in points)
+    return all(hi.cdf(t) <= lo.cdf(t) + eps for t in points)
 
 
-def stochastically_dominates(
-    hi: DiscreteToleranceProfile, lo: DiscreteToleranceProfile, eps: float | None = None
-) -> bool:
+def stochastically_dominates(hi: DiscreteToleranceProfile, lo: DiscreteToleranceProfile) -> bool:
     """Pointwise CDF comparison for every player."""
     if len(hi) != len(lo):
         raise ValueError("profiles must have the same number of players")
-    return all(dist_dominates(h, l, eps) for h, l in zip(hi.per_player, lo.per_player))
+    return all(dist_dominates(h, l) for h, l in zip(hi.per_player, lo.per_player))
 
 
 @dataclass(frozen=True)
@@ -157,22 +153,21 @@ def _quantile_overlap(row_cum: np.ndarray, col_cum: np.ndarray) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
-def transport_plan(
-    lo_dist: DiscreteToleranceDist,
-    hi_dist: DiscreteToleranceDist,
-    eps: float | None = None,
-) -> TransportPlan:
-    """Quantile-interval overlap between a dominated and a dominating distribution."""
-    e = epsnum(eps)
-    if not dist_dominates(hi_dist, lo_dist, eps):
+def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDist) -> TransportPlan:
+    """Quantile-interval overlap between a dominated and a dominating distribution.
+
+    An overlap at or below eps that pairs a dominating atom with a higher
+    type of the dominated one is rounding that dominance within eps allows,
+    and is dropped; every other overlap is kept, so the plan moves the mass
+    exactly whenever dominance is exact.
+    """
+    eps = epsnum()
+    if not dist_dominates(hi_dist, lo_dist):
         raise ValueError("target distribution does not stochastically dominate the source")
     weights = _quantile_overlap(np.cumsum((0.0, *hi_dist.probs)), np.cumsum((0.0, *lo_dist.probs)))
-    contributing = weights > e
-    # An atom with no overlap above eps (one lighter than eps, say) keeps
-    # every overlap it has rather than dropping out of the plan.
-    light = ~contributing.any(axis=1)
-    if light.any():
-        contributing[light] = weights[light] > 0.0
+    lo_support, hi_support = np.asarray(lo_dist.support), np.asarray(hi_dist.support)
+    higher = lo_support[None, :] > hi_support[:, None] + eps
+    contributing = (weights > 0.0) & ~(higher & (weights <= eps))
     weights *= contributing
     fed = contributing.any(axis=1)
     if not fed.all():
@@ -181,7 +176,7 @@ def transport_plan(
             "inputs are inconsistent"
         )
     alpha = weights.shape[1] - 1 - np.argmax(contributing[:, ::-1], axis=1)
-    if np.any(np.asarray(lo_dist.support)[alpha] > np.asarray(hi_dist.support) + e):
+    if np.any(lo_support[alpha] > hi_support + eps):
         raise ValueError(
             "transport would give a type a strategy of a higher type; "
             "dominance is violated"
@@ -195,7 +190,6 @@ def dominance_remap(
     lo_dist: DiscreteToleranceDist,
     hi_dist: DiscreteToleranceDist,
     g: TypeStrategyMap,
-    eps: float | None = None,
 ) -> TypeStrategyMap:
     """Rebuild a type-to-strategy map over a dominating distribution.
 
@@ -207,7 +201,7 @@ def dominance_remap(
     """
     if not g.matches(lo_dist):
         raise ValueError("map domain does not match the source distribution support")
-    mix = transport_plan(lo_dist, hi_dist, eps).weights @ np.array([s.probs for s in g.strategies])
+    mix = transport_plan(lo_dist, hi_dist).weights @ np.array([s.probs for s in g.strategies])
     mix = np.clip(mix / mix.sum(axis=1, keepdims=True), 0.0, 1.0)
     return TypeStrategyMap(hi_dist.support, tuple(MixedStrategy(tuple(row)) for row in mix.tolist()))
 
@@ -217,8 +211,6 @@ def remap_preserves_mixture(
     hi_dist: DiscreteToleranceDist,
     g: TypeStrategyMap,
     g_prime: TypeStrategyMap,
-    eps: float | None = None,
-    mix_tol: float = 1e-9,
 ) -> bool:
     """Game-free structural check of a remapped assignment.
 
@@ -226,17 +218,17 @@ def remap_preserves_mixture(
     dominating atom plays must be played by some dominated atom with a
     tolerance no larger than it (so consistency carries over).
     """
-    e = epsnum(eps)
+    eps = epsnum()
     if not (g.matches(lo_dist) and g_prime.matches(hi_dist)):
         return False
-    if np.max(np.abs(g.mixture(lo_dist) - g_prime.mixture(hi_dist))) > mix_tol:
+    if np.max(np.abs(g.mixture(lo_dist) - g_prime.mixture(hi_dist))) > eps:
         return False
     for t_hi, strategy in zip(g_prime.support, g_prime.strategies):
         allowed: set[int] = set()
         for t_lo, source in zip(g.support, g.strategies):
-            if t_lo <= t_hi + e:
-                allowed.update(source.support(e))
-        if any(index not in allowed for index in strategy.support(e)):
+            if t_lo <= t_hi + eps:
+                allowed.update(source.support())
+        if any(index not in allowed for index in strategy.support()):
             return False
     return True
 

@@ -154,7 +154,7 @@ def test_criterion_04_dominance_remap_preserves_equilibrium():
             for lo, hi, g in zip(pi.per_player, dominating.per_player, verdict.witness)
         )
         # consistency and mixture reconstruction at 1e-9, plus re-verification
-        if not tq.witness_is_valid(game, prof, dominating, remapped, mix_tol=1e-9):
+        if not tq.witness_is_valid(game, prof, dominating, remapped):
             ok = False
             break
         if not tq.verify_tolerant_equilibrium(game, prof, dominating).is_equilibrium:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, file formats, determinism."""
 
+import inspect
 import json
 import threading
 
@@ -133,6 +134,59 @@ def test_sweep_grid_flag_is_gone(capsys):
     assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
+def test_no_public_callable_takes_its_own_tolerance():
+    # the comparison tolerance is read from epsnum() alone, and the root
+    # residual is a constant of pd_tolerant
+    knobs = {"eps", "mix_tol", "tol_root"}
+    for name in (n for n in dir(tq) if not n.startswith("_")):
+        obj = getattr(tq, name)
+        members = [getattr(obj, m) for m in dir(obj) if not m.startswith("_")] if inspect.isclass(obj) else []
+        for fn in [obj, *members]:
+            if callable(fn):
+                assert not knobs & set(inspect.signature(fn).parameters), (name, fn)
+    assert not inspect.signature(tq.epsnum).parameters
+
+
+@pytest.mark.parametrize("command", [
+    ["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", "cdf.json"],
+    ["sweep", "--kind", "pd-alpha", "--param", "delta_c", "--values", "1.5,2.5",
+     "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", "cdf.json"],
+], ids=["pd-solve", "sweep"])
+def test_tol_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "td", "--param", "bonus", "--low", "2", "--high", "100", "--values", "2.5,3"],
+    ["--kind", "bertrand", "--param", "n", "--low", "2", "--high", "20", "--values", "2.7"],
+    ["--kind", "td", "--param", "bonus", "--low", "2", "--high", "100", "--values", "inf"],
+], ids=["td-bonus-2.5", "bertrand-n-2.7", "td-bonus-inf"])
+def test_sweep_integer_params_reject_non_integers(flags, capsys):
+    # int() used to solve bonus 2 under the label 2.5, and crashed on inf
+    assert main(["sweep", *flags, "--seed", "1", "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: --values:" in captured.err
+
+
+@pytest.mark.parametrize("flag, env", [("inf", None), (None, "inf"), (None, "abc")],
+                         ids=["flag-inf", "env-inf", "env-abc"])
+def test_bad_epsnum_exits_2_naming_its_source(flag, env, monkeypatch, capsys):
+    # --epsnum inf used to print a verdict and exit 0
+    if env is not None:
+        monkeypatch.setenv("TOLEQ_EPSNUM", env)
+    prefix = ["--epsnum", flag] if flag is not None else []
+    assert main([*prefix, "threshold", "--kind", "td", "--low", "2", "--high", "100", "--bonus", "2",
+                 "--beta", "0.5", "--t-rel", "0.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {'--epsnum' if flag else 'TOLEQ_EPSNUM'}:" in captured.err
+    assert tq.epsnum() == tq.DEFAULT_EPSNUM
+
+
 def test_bertrand_threshold_with_many_firms(capsys):
     # the binomial form of bertrand_f overflowed a float above about 1,030 firms
     n, beta = 1100, 0.5
@@ -189,6 +243,25 @@ def test_remap_keeps_an_atom_lighter_than_eps(tmp_path, capsys):
     assert tq.remap_preserves_mixture(lo, hi, g, g_prime)
     # the light atom at 4 plays what the type at 3 played
     assert g_prime.strategies[2].probs == pytest.approx((1.0, 0.0))
+
+
+def test_remap_under_a_coarse_epsnum_keeps_small_overlaps(tmp_path, capsys):
+    # hi dominates lo exactly; the 0.0005 of lo's type 0 that hi's type 1
+    # covers used to be dropped at --epsnum 1e-3, which broke the mixture
+    docs = {
+        "pi": {"type": "discrete", "support": [0, 1], "probs": [0.5, 0.5]},
+        "pi_prime": {"type": "discrete", "support": [0, 1], "probs": [0.4995, 0.5005]},
+        "g": {"support": [0, 1], "strategies": [[1, 0], [0, 1]]},
+    }
+    paths = {name: str(tmp_path / f"{name}.json") for name in docs}
+    for name, doc in docs.items():
+        serialize.dump_json(doc, paths[name])
+    argv = ["remap", "--pi", paths["pi"], "--pi-prime", paths["pi_prime"], "--g", paths["g"]]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(["--epsnum", "1e-3", *argv]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == default
+
 
 def make_cdf_file(tmp_path, obj, name="cdf.json"):
     path = tmp_path / name

@@ -106,8 +106,6 @@ def test_residuals_recompute_through_game_utilities():
 def test_solver_requires_continuous_cdf():
     with pytest.raises(TypeError):
         tq.solve_symmetric(EXAMPLE, tq.point_mass(1.5))
-    with pytest.raises(ValueError):
-        tq.solve_symmetric(EXAMPLE, tq.UniformCdf(0, 4), tol_root=0)
 
 
 def test_discrete_point_masses():

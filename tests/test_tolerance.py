@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
+from toleq.numeric import reset_epsnum
 from toleq_oracles import dominating_dist, random_map
 
 
@@ -131,8 +132,16 @@ def test_remap_rejects_domain_mismatch():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10**9))
-def test_remap_conserves_mixture_and_order(seed):
+@given(st.integers(0, 10**9), st.sampled_from([tq.DEFAULT_EPSNUM, 1e-3]))
+def test_remap_conserves_mixture_and_order(seed, eps):
+    token = tq.set_epsnum(eps)
+    try:
+        _check_remap_conserves_mixture_and_order(seed)
+    finally:
+        reset_epsnum(token)
+
+
+def _check_remap_conserves_mixture_and_order(seed):
     rng = np.random.default_rng(seed)
     n_atoms = int(rng.integers(1, 6))
     masses = rng.dirichlet(np.ones(n_atoms))
