@@ -29,7 +29,6 @@ from .dilemmas import (
 from .equilibrium import (
     EquilibriumVerdict,
     Violation,
-    find_symmetric_2x2_equilibria,
     symmetric_alpha_intervals,
     verify_gp_epsilon_nash,
     verify_nash,

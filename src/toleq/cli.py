@@ -17,15 +17,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import serialize
 from .dilemmas import (
+    _DILEMMAS,
     BertrandCompetition,
-    PrisonersDilemma,
-    PublicGoods,
     RelativeType,
     RelativeTypeDistribution,
     TravelersDilemma,
@@ -49,10 +48,19 @@ from .tolerance import ContinuousCdf, DiscreteToleranceDist, dist_dominates, dom
 
 
 def _parse_values(text: str) -> list[float]:
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
-    return [float(v) for v in text.split(",")]
+    """Sweep values from ``lo:hi:count`` or a comma-separated list; a
+    malformed or empty list is an input error that names --values."""
+    try:
+        if ":" in text:
+            lo, hi, count = text.split(":")
+            values = [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
+        else:
+            values = [float(v) for v in text.split(",")]
+        if values:
+            return values
+    except ValueError:
+        pass
+    raise SchemaError("--values", f"expected lo:hi:count (count >= 1) or a list like 1,2,3, got {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -76,27 +84,24 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dilemma_from_args(args: argparse.Namespace):
+def _dilemma_from_args(args: argparse.Namespace, **swept):
+    """The dilemma that --spec or --kind and its flags describe, with the
+    fields whose CLI flags ``swept`` names set to the given values."""
     if args.spec is not None:
-        return serialize.dilemma_spec_from_obj(serialize.load_json(args.spec), args.spec)
-    kind = args.kind
-    if kind == "pd":
-        if args.benefit is None or args.cost is None:
-            raise SchemaError("spec", "pd needs --benefit and --cost")
-        return PrisonersDilemma(args.benefit, args.cost)
-    if kind == "td":
-        if None in (args.low, args.high, args.bonus):
-            raise SchemaError("spec", "td needs --low, --high and --bonus")
-        return TravelersDilemma(args.low, args.high, args.bonus)
-    if kind == "pg":
-        if args.n is None or args.rho is None:
-            raise SchemaError("spec", "pg needs --n and --rho")
-        return PublicGoods(args.n, args.rho)
-    if kind == "bertrand":
-        if None in (args.n, args.low, args.high):
-            raise SchemaError("spec", "bertrand needs --n, --low and --high")
-        return BertrandCompetition(args.n, args.low, args.high)
-    raise SchemaError("spec", f"unknown dilemma kind {kind!r}")
+        spec = serialize.dilemma_spec_from_obj(serialize.load_json(args.spec), args.spec)
+        by_flag = {f.metadata["flag"]: f.name for f in fields(spec)}
+        unknown = sorted(set(swept) - set(by_flag))
+        if unknown:
+            raise SchemaError(args.spec, f"this dilemma has no --{unknown[0]}")
+        return replace(spec, **{by_flag[flag]: value for flag, value in swept.items()})
+    if args.kind not in _DILEMMAS:
+        raise SchemaError("spec", f"unknown dilemma kind {args.kind!r}")
+    flags = [f.metadata["flag"] for f in fields(_DILEMMAS[args.kind])]
+    values = [swept.get(flag, getattr(args, flag)) for flag in flags]
+    if None in values:
+        named = [f"--{flag}" for flag in flags]
+        raise SchemaError("spec", f"{args.kind} needs {', '.join(named[:-1])} and {named[-1]}")
+    return _DILEMMAS[args.kind](*values)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -220,25 +225,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return code
 
 
-_RATE_PARAMS = {
-    "pd": ("benefit", "cost"),
-    "td": ("bonus", "low", "high"),
-    "pg": ("rho", "n"),
-    "bertrand": ("low", "n", "high"),
-}
-_INT_PARAMS = {"n", "low", "high", "bonus"}
-
-
-def _swept_spec(base, kind: str, param: str, value: int | float):
-    field_by_cli = {
-        "pd": {"benefit": "benefit", "cost": "cost"},
-        "td": {"bonus": "bonus", "low": "low", "high": "high"},
-        "pg": {"rho": "marginal_return", "n": "num_players"},
-        "bertrand": {"low": "price_floor", "n": "num_firms", "high": "price_cap"},
-    }[kind]
-    return replace(base, **{field_by_cli[param]: value})
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.values is None or args.param is None:
         raise SchemaError("flags", "sweep needs --param and --values")
@@ -258,27 +244,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), args.out)
         return 0
 
-    if args.kind not in _RATE_PARAMS:
+    if args.kind not in _DILEMMAS:
         raise SchemaError("flags", f"unknown sweep kind {args.kind!r}")
-    if args.param not in _RATE_PARAMS[args.kind]:
-        raise SchemaError(
-            "flags", f"kind {args.kind!r} sweeps one of {_RATE_PARAMS[args.kind]}"
-        )
+    params = {f.metadata["flag"]: f for f in fields(_DILEMMAS[args.kind])}
+    if args.param not in params:
+        raise SchemaError("flags", f"kind {args.kind!r} sweeps one of {tuple(params)}")
     if args.seed is None:
         raise SchemaError("flags", "rate sweeps draw Monte Carlo samples; --seed is required")
-    if args.param in _INT_PARAMS:
+    if params[args.param].type == "int":
         bad = [v for v in values if not v.is_integer()]
         if bad:
             raise SchemaError("--values", f"--param {args.param} takes integers, got {bad[0]!r}")
         values = [int(v) for v in values]
-    base = _dilemma_from_args(argparse.Namespace(**{**vars(args), args.param: values[0]}))
     dist = RelativeTypeDistribution(q=args.q, beta_point=args.beta_point)
     child_seeds = [
         int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(args.seed).spawn(len(values))
     ]
     rows = []
     for value, child in zip(values, child_seeds):
-        spec = _swept_spec(base, args.kind, args.param, value)
+        spec = _dilemma_from_args(args, **{args.param: value})
         rate = cooperation_rate(spec, dist, args.samples, child)
         rows.append([float(value), rate.exact_rate, rate.mc_rate, rate.mc_stderr])
     _emit(_csv([args.param, "exact_rate", "mc_rate", "mc_stderr"], rows), args.out)
@@ -320,14 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def spec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--spec", default=None, help="dilemma spec JSON file")
-        p.add_argument("--kind", choices=("pd", "td", "pg", "bertrand", "pd-alpha"))
-        p.add_argument("--benefit", type=float)
-        p.add_argument("--cost", type=float)
-        p.add_argument("--low", type=int)
-        p.add_argument("--high", type=int)
-        p.add_argument("--bonus", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--rho", type=float)
+        p.add_argument("--kind", choices=(*_DILEMMAS, "pd-alpha"))
+        types = {f.metadata["flag"]: f.type for cls in _DILEMMAS.values() for f in fields(cls)}
+        for flag, annotation in types.items():
+            p.add_argument(f"--{flag}", type=int if annotation == "int" else float)
 
     p = sub.add_parser("threshold", help="cooperation threshold for a dilemma")
     spec_flags(p)

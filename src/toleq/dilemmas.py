@@ -14,14 +14,20 @@ Monte Carlo.  An exact rate under a uniform belief integrates a piecewise
 polynomial: the pieces end at real roots of explicit polynomials, and
 Gauss-Legendre with enough nodes for each piece's degree integrates every
 piece without error beyond rounding.
+
+Each spec class is described once, by its fields: a field's annotation
+(``int`` or ``float``) says how it is parsed and checked, and its metadata
+names its JSON key and its CLI flag.  ``serialize`` and ``cli`` loop over
+these fields, and ``_DILEMMAS`` maps each kind (``pd``, ``td``, ``pg``,
+``bertrand``) to its class.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field, fields
+from typing import Union
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -31,14 +37,28 @@ from .games import Game, MixedProfile, MixedStrategy
 from .numeric import epsnum
 
 
+def _param(key: str, flag: str):
+    """A spec field whose JSON key is ``key`` and whose CLI flag is ``--flag``."""
+    return field(metadata={"key": key, "flag": flag})
+
+
+def _check_integers(spec) -> None:
+    """Every field annotated ``int`` must hold an integer."""
+    for f in fields(spec):
+        if f.type == "int" and not isinstance(getattr(spec, f.name), int):
+            raise ValueError(f"{f.name} must be an integer, got {getattr(spec, f.name)!r}")
+
+
 @dataclass(frozen=True)
 class PrisonersDilemma:
     """Pay a cost to hand the other player a larger benefit."""
 
-    benefit: float
-    cost: float
+    benefit: float = _param("b", "benefit")
+    cost: float = _param("c", "cost")
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.benefit):
+            raise ValueError(f"benefit must be finite, got {self.benefit}")
         if not self.benefit > self.cost > 0:
             raise ValueError(f"need benefit > cost > 0, got b={self.benefit}, c={self.cost}")
 
@@ -47,15 +67,12 @@ class PrisonersDilemma:
 class TravelersDilemma:
     """Claim an integer amount; the lower claim wins a bonus, the higher pays it."""
 
-    low: int
-    high: int
-    bonus: int
+    low: int = _param("L", "low")
+    high: int = _param("H", "high")
+    bonus: int = _param("b", "bonus")
 
     def __post_init__(self) -> None:
-        if not (
-            isinstance(self.low, int) and isinstance(self.high, int) and isinstance(self.bonus, int)
-        ):
-            raise ValueError("claims and bonus must be integers")
+        _check_integers(self)
         if not (self.high > self.low >= 1 and self.bonus >= 1):
             raise ValueError(f"need high > low >= 1 and bonus >= 1, got {self}")
 
@@ -64,10 +81,11 @@ class TravelersDilemma:
 class PublicGoods:
     """Contribute to a pool multiplied by rho * N and split evenly."""
 
-    num_players: int
-    marginal_return: float
+    num_players: int = _param("N", "n")
+    marginal_return: float = _param("rho", "rho")
 
     def __post_init__(self) -> None:
+        _check_integers(self)
         if self.num_players < 2:
             raise ValueError("need at least two contributors")
         if not (1.0 / self.num_players < self.marginal_return < 1.0):
@@ -81,17 +99,12 @@ class PublicGoods:
 class BertrandCompetition:
     """Price an identical product; the lowest price takes (or splits) the sale."""
 
-    num_firms: int
-    price_floor: int
-    price_cap: int
+    num_firms: int = _param("n", "n")
+    price_floor: int = _param("L", "low")
+    price_cap: int = _param("H", "high")
 
     def __post_init__(self) -> None:
-        if not (
-            isinstance(self.num_firms, int)
-            and isinstance(self.price_floor, int)
-            and isinstance(self.price_cap, int)
-        ):
-            raise ValueError("firm count and prices must be integers")
+        _check_integers(self)
         if not (self.num_firms >= 2 and self.price_cap > self.price_floor >= 2):
             raise ValueError(
                 "need >= 2 firms and cap > floor >= 2 "
@@ -100,6 +113,13 @@ class BertrandCompetition:
 
 
 DilemmaSpec = Union[PrisonersDilemma, TravelersDilemma, PublicGoods, BertrandCompetition]
+
+_DILEMMAS = {
+    "pd": PrisonersDilemma,
+    "td": TravelersDilemma,
+    "pg": PublicGoods,
+    "bertrand": BertrandCompetition,
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -338,22 +358,16 @@ def will_cooperate(spec: DilemmaSpec, rel_type: RelativeType) -> bool:
     return relative_to_absolute(spec, rel_type.t_rel) >= threshold - epsnum()
 
 
-Sampler = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
 @dataclass(frozen=True)
 class RelativeTypeDistribution:
     """Distribution over relative types.
 
     The default is the product of uniforms on [0,1]^2 for (t_rel, beta) with
     disposition C with probability q; ``beta_point`` pins the belief instead.
-    A custom ``sampler`` (returning t_rel, beta, is_C arrays) switches rate
-    estimation to Monte Carlo only.
     """
 
     q: float = 1.0
     beta_point: float | None = None
-    sampler: Sampler | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.q <= 1.0:
@@ -362,8 +376,6 @@ class RelativeTypeDistribution:
             raise ValueError("pinned belief must lie in [0, 1]")
 
     def sample(self, rng: np.random.Generator, n: int):
-        if self.sampler is not None:
-            return self.sampler(rng, n)
         t_rel = rng.random(n)
         beta = np.full(n, self.beta_point) if self.beta_point is not None else rng.random(n)
         is_c = rng.random(n) < self.q
@@ -419,8 +431,6 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
     is integrated by Gauss-Legendre with deg//2 + 1 nodes, which is exact for
     that degree.
     """
-    if dist.sampler is not None:
-        raise ValueError("exact rates are only available for the built-in family")
     scale = all_cooperate_payoff(spec)
 
     def conditional(betas: np.ndarray) -> np.ndarray:
@@ -444,7 +454,7 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
 class CooperationRate:
     mc_rate: float
     mc_stderr: float
-    exact_rate: float | None
+    exact_rate: float
 
 
 def cooperation_rate(
@@ -454,7 +464,7 @@ def cooperation_rate(
     seed: int,
 ) -> CooperationRate:
     """Monte Carlo cooperation rate (deterministic per seed), with the exact
-    rate attached whenever the distribution supports it."""
+    rate attached."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -464,5 +474,4 @@ def cooperation_rate(
     cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - epsnum())
     rate = float(cooperates.mean())
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
-    exact = None if dist.sampler is not None else exact_cooperation_rate(spec, dist)
-    return CooperationRate(rate, stderr, exact)
+    return CooperationRate(rate, stderr, exact_cooperation_rate(spec, dist))

@@ -163,11 +163,6 @@ def verify_nash(game: Game, profile: MixedProfile) -> bool:
     return verify_gp_epsilon_nash(game, profile, 0.0)
 
 
-def _symmetric_profile(alpha: float) -> MixedProfile:
-    strategy = MixedStrategy((alpha, 1.0 - alpha))
-    return MixedProfile((strategy, strategy))
-
-
 def _check_symmetric_2x2(game: Game) -> None:
     if game.num_players != 2 or game.num_strategies != (2, 2):
         raise ValueError("grid search requires a 2-player, 2-strategy game")
@@ -175,27 +170,19 @@ def _check_symmetric_2x2(game: Game) -> None:
         raise ValueError("grid search requires a symmetric game")
 
 
-def find_symmetric_2x2_equilibria(
-    game: Game, pi: DiscreteToleranceProfile, grid: int
-) -> list[MixedProfile]:
-    """All symmetric profiles (alpha on strategy 0) on the grid that verify."""
-    _check_symmetric_2x2(game)
-    out = []
-    for alpha in np.linspace(0.0, 1.0, grid):
-        profile = _symmetric_profile(float(alpha))
-        if verify_tolerant_equilibrium(game, profile, pi).is_equilibrium:
-            out.append(profile)
-    return out
-
-
 def symmetric_alpha_intervals(
     game: Game, pi: DiscreteToleranceProfile, grid: int
 ) -> list[tuple[float, float]]:
-    """Passing grid alphas merged into maximal runs, reported by endpoints."""
+    """Symmetric profiles (alpha on strategy 0) at ``grid`` evenly spaced
+    alphas that verify, merged into maximal runs and reported by endpoints."""
+    _check_symmetric_2x2(game)
     alphas = np.linspace(0.0, 1.0, grid)
-    found = find_symmetric_2x2_equilibria(game, pi, grid)
-    passing = np.isin(alphas, [profile[0].probs[0] for profile in found])
-    edges = np.diff(np.concatenate(([0], passing.astype(int), [0])))
+    passing = []
+    for alpha in alphas.tolist():
+        strategy = MixedStrategy((alpha, 1.0 - alpha))
+        profile = MixedProfile((strategy, strategy))
+        passing.append(int(verify_tolerant_equilibrium(game, profile, pi).is_equilibrium))
+    edges = np.diff([0, *passing, 0])
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
     return [(float(alphas[i]), float(alphas[j])) for i, j in zip(starts, stops)]
 

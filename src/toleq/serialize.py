@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -274,44 +275,30 @@ def _witness_map(entries: Any, path: str) -> TypeStrategyMap:
 
 
 def dilemma_spec_to_obj(spec) -> dict:
-    from .dilemmas import BertrandCompetition, PrisonersDilemma, PublicGoods, TravelersDilemma
+    from .dilemmas import _DILEMMAS
 
-    if isinstance(spec, PrisonersDilemma):
-        return {"kind": "pd", "b": spec.benefit, "c": spec.cost}
-    if isinstance(spec, TravelersDilemma):
-        return {"kind": "td", "L": spec.low, "H": spec.high, "b": spec.bonus}
-    if isinstance(spec, PublicGoods):
-        return {"kind": "pg", "N": spec.num_players, "rho": spec.marginal_return}
-    if isinstance(spec, BertrandCompetition):
-        return {"kind": "bertrand", "n": spec.num_firms, "L": spec.price_floor, "H": spec.price_cap}
-    raise TypeError(f"unknown dilemma spec {spec!r}")
+    kinds = {cls: kind for kind, cls in _DILEMMAS.items()}
+    if type(spec) not in kinds:
+        raise TypeError(f"unknown dilemma spec {spec!r}")
+    return {"kind": kinds[type(spec)], **{f.metadata["key"]: getattr(spec, f.name) for f in fields(spec)}}
 
 
 def dilemma_spec_from_obj(obj: Any, path: str = "spec"):
-    from .dilemmas import BertrandCompetition, PrisonersDilemma, PublicGoods, TravelersDilemma
+    from .dilemmas import _DILEMMAS
 
     kind = _require(obj, "kind", path)
-
-    def number(key: str) -> float:
-        return _number(_require(obj, key, path), f"{path}.{key}")
-
-    def integer(key: str) -> int:
-        return _integer(_require(obj, key, path), f"{path}.{key}")
-
+    if not isinstance(kind, str) or kind not in _DILEMMAS:
+        raise SchemaError(path, f"unknown dilemma kind {kind!r}")
+    cls = _DILEMMAS[kind]
+    values = {}
+    for f in fields(cls):
+        key = f.metadata["key"]
+        parse = _integer if f.type == "int" else _number
+        values[f.name] = parse(_require(obj, key, path), f"{path}.{key}")
     try:
-        if kind == "pd":
-            return PrisonersDilemma(number("b"), number("c"))
-        if kind == "td":
-            return TravelersDilemma(integer("L"), integer("H"), integer("b"))
-        if kind == "pg":
-            return PublicGoods(integer("N"), number("rho"))
-        if kind == "bertrand":
-            return BertrandCompetition(integer("n"), integer("L"), integer("H"))
-    except SchemaError:
-        raise
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise SchemaError(path, str(exc)) from None
-    raise SchemaError(path, f"unknown dilemma kind {kind!r}")
 
 
 def load_json(path: str) -> Any:

@@ -3,7 +3,9 @@
 import inspect
 import json
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import toleq as tq
@@ -471,3 +473,76 @@ def test_pd_solve_discrete_structured_output(tmp_path, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj == {"exists": True, "solutions": [1.0]}
+
+
+# Each kind's spec, and for each of its CLI flags the spec field it sets and
+# two values to sweep it over.
+KIND_SPECS = {
+    "pd": (
+        tq.PrisonersDilemma(5.0, 2.0),
+        {"benefit": ("benefit", [3.0, 6.5]), "cost": ("cost", [1.0, 2.5])},
+    ),
+    "td": (
+        tq.TravelersDilemma(2, 100, 3),
+        {"low": ("low", [2, 5]), "high": ("high", [50, 80]), "bonus": ("bonus", [2, 4])},
+    ),
+    "pg": (
+        tq.PublicGoods(3, 0.7),
+        {"n": ("num_players", [2, 4]), "rho": ("marginal_return", [0.6, 0.8])},
+    ),
+    "bertrand": (
+        tq.BertrandCompetition(3, 2, 30),
+        {"n": ("num_firms", [2, 4]), "low": ("price_floor", [2, 5]), "high": ("price_cap", [20, 40])},
+    ),
+}
+
+
+def _kind_flags(kind: str, skip: str | None = None) -> list[str]:
+    spec, params = KIND_SPECS[kind]
+    flags = ["--kind", kind]
+    for flag, (field, _) in params.items():
+        if flag != skip:
+            flags += [f"--{flag}", str(getattr(spec, field))]
+    return flags
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+def test_every_kind_from_flags_spec_file_and_sweeps(kind, tmp_path, capsys):
+    spec, params = KIND_SPECS[kind]
+    path = tmp_path / "spec.json"
+    serialize.dump_json(serialize.dilemma_spec_to_obj(spec), str(path))
+    decide = ["--beta", "0.5", "--t-rel", "0.5"]
+    from_flags = main(["threshold", *_kind_flags(kind), *decide]), capsys.readouterr()
+    from_file = main(["threshold", "--spec", str(path), *decide]), capsys.readouterr()
+    assert from_flags == from_file
+    assert from_flags[1].out.startswith("threshold: ")
+
+    samples, seed = 300, 17
+    for flag, (field, values) in params.items():
+        argv = ["sweep", *_kind_flags(kind, skip=flag), "--param", flag,
+                "--values", ",".join(map(str, values)), "--seed", str(seed), "--samples", str(samples)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        children = np.random.SeedSequence(seed).spawn(len(values))
+        want = [f"{flag},exact_rate,mc_rate,mc_stderr"]
+        for value, child in zip(values, children):
+            swept = replace(spec, **{field: value})
+            rate = tq.cooperation_rate(swept, tq.RelativeTypeDistribution(), samples,
+                                       int(child.generate_state(1)[0]))
+            want.append(f"{float(value)!r},{rate.exact_rate!r},{rate.mc_rate!r},{rate.mc_stderr!r}")
+        assert lines == want
+
+
+@pytest.mark.parametrize("values", ["1:2:0", "2:3:x", "1:2", "", "1,,2"])
+def test_malformed_sweep_values_name_the_flag(values, capsys):
+    argv = ["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100",
+            "--values", values, "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: --values: ")
+
+
+def test_infinite_pd_benefit_is_input_error(capsys):
+    assert main(["threshold", "--kind", "pd", "--benefit", "inf", "--cost", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err

@@ -317,18 +317,6 @@ def test_monte_carlo_deterministic_per_seed():
     assert a == b
 
 
-def test_custom_sampler_is_mc_only():
-    def sampler(rng, n):
-        return np.full(n, 0.9), np.full(n, 0.5), np.ones(n, dtype=bool)
-
-    dist = tq.RelativeTypeDistribution(sampler=sampler)
-    result = tq.cooperation_rate(tq.PrisonersDilemma(5, 2), dist, samples=100, seed=0)
-    assert result.exact_rate is None
-    assert result.mc_rate == 1.0  # 0.9 * 3 >= 2 for every sample
-    with pytest.raises(ValueError):
-        tq.exact_cooperation_rate(tq.PrisonersDilemma(5, 2), dist)
-
-
 def test_large_n_bertrand_limit():
     # for many firms the relative threshold approaches L / ((1 - beta) H)
     for n in (200, 500, 1000):
@@ -347,3 +335,15 @@ def test_pinned_belief_rates():
     assert r2 == pytest.approx(1 - 0.784)
     r3 = tq.exact_cooperation_rate(tq.BertrandCompetition(3, 2, 100), dist)
     assert r3 == 0.0  # required relative tolerance exceeds 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: tq.PublicGoods(2.5, 0.7),
+        lambda: tq.BertrandCompetition(3, 2.0, 9),
+    ],
+)
+def test_integer_fields_reject_non_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()

@@ -160,24 +160,17 @@ def test_gp_epsilon_nash_examples():
 def test_symmetric_grid_search_nash_only():
     game = pd_game()
     pi = tq.DiscreteToleranceProfile.iid(tq.point_mass(0.0), 2)
-    found = tq.find_symmetric_2x2_equilibria(game, pi, 101)
-    assert [p[0].probs[0] for p in found] == [0.0]
     assert tq.symmetric_alpha_intervals(game, pi, 101) == [(0.0, 0.0)]
 
 
 def test_symmetric_grid_search_tolerant_interval():
     game = pd_game()
-    found = tq.find_symmetric_2x2_equilibria(game, PD_PI, 1001)
-    alphas = [p[0].probs[0] for p in found]
-    assert 0.0 in alphas and pytest.approx(0.3) == max(alphas)
     assert tq.symmetric_alpha_intervals(game, PD_PI, 1001) == [(0.0, pytest.approx(0.3))]
 
 
 def test_symmetric_grid_search_everything_passes():
     game = pd_game()
     pi = tq.DiscreteToleranceProfile.iid(tq.point_mass(10.0), 2)
-    found = tq.find_symmetric_2x2_equilibria(game, pi, 101)
-    assert len(found) == 101
     assert tq.symmetric_alpha_intervals(game, pi, 101) == [(0.0, 1.0)]
 
 
@@ -185,7 +178,7 @@ def test_grid_search_rejects_wrong_shape():
     built = tq.build_game(tq.TravelersDilemma(2, 4, 2))
     pi = tq.DiscreteToleranceProfile.iid(tq.point_mass(0.0), 2)
     with pytest.raises(ValueError):
-        tq.find_symmetric_2x2_equilibria(built.game, pi, 11)
+        tq.symmetric_alpha_intervals(built.game, pi, 11)
 
 
 def test_grid_search_rejects_asymmetric_payoffs():
@@ -193,7 +186,7 @@ def test_grid_search_rejects_asymmetric_payoffs():
     game = tq.Game((("x", "y"), ("x", "y")), payoffs)
     pi = tq.DiscreteToleranceProfile.iid(tq.point_mass(0.0), 2)
     with pytest.raises(ValueError):
-        tq.find_symmetric_2x2_equilibria(game, pi, 11)
+        tq.symmetric_alpha_intervals(game, pi, 11)
 
 
 @settings(max_examples=60, deadline=None)
