@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -85,23 +85,31 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _dilemma_from_args(args: argparse.Namespace, **swept):
-    """The dilemma that --spec or --kind and its flags describe, with the
-    fields whose CLI flags ``swept`` names set to the given values."""
+    """The dilemma that --spec (whose kind a given --kind must match) or
+    --kind and its flags describe, with the fields whose CLI flags ``swept``
+    names set to the given --values."""
+    kind = args.kind
     if args.spec is not None:
-        spec = serialize.dilemma_spec_from_obj(serialize.load_json(args.spec), args.spec)
-        by_flag = {f.metadata["flag"]: f.name for f in fields(spec)}
-        unknown = sorted(set(swept) - set(by_flag))
-        if unknown:
-            raise SchemaError(args.spec, f"this dilemma has no --{unknown[0]}")
-        return replace(spec, **{by_flag[flag]: value for flag, value in swept.items()})
-    if args.kind not in _DILEMMAS:
-        raise SchemaError("spec", f"unknown dilemma kind {args.kind!r}")
-    flags = [f.metadata["flag"] for f in fields(_DILEMMAS[args.kind])]
-    values = [swept.get(flag, getattr(args, flag)) for flag in flags]
-    if None in values:
-        named = [f"--{flag}" for flag in flags]
-        raise SchemaError("spec", f"{args.kind} needs {', '.join(named[:-1])} and {named[-1]}")
-    return _DILEMMAS[args.kind](*values)
+        obj = serialize.load_json(args.spec)
+        spec = serialize.dilemma_spec_from_obj(obj, args.spec)
+        if kind not in (None, obj["kind"]):
+            raise SchemaError("--kind", f"{kind!r} disagrees with the {obj['kind']!r} dilemma in {args.spec}")
+        kind = obj["kind"]
+    elif kind not in _DILEMMAS:
+        raise SchemaError("spec", f"unknown dilemma kind {kind!r}")
+    params = {f.metadata["flag"]: f for f in fields(_DILEMMAS[kind])}
+    given = {flag: getattr(args, flag) if args.spec is None else getattr(spec, f.name)
+             for flag, f in params.items()}
+    for flag, value in swept.items():
+        if flag not in params:
+            raise SchemaError("--param", f"kind {kind!r} sweeps one of {tuple(params)}")
+        if params[flag].type == "int" and not value.is_integer():
+            raise SchemaError("--values", f"--param {flag} takes integers, got {value!r}")
+        given[flag] = int(value) if params[flag].type == "int" else value
+    if None in given.values():
+        named = [f"--{flag}" for flag in given]
+        raise SchemaError("spec", f"{kind} needs {', '.join(named[:-1])} and {named[-1]}")
+    return _DILEMMAS[kind](*given.values())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -142,7 +150,10 @@ def cmd_remap(args: argparse.Namespace) -> int:
         return 1
     if not g.matches(lo):
         raise SchemaError(args.g, f"support {g.support} does not match {args.pi}")
-    g_prime = dominance_remap(lo, hi, g)
+    try:
+        g_prime = dominance_remap(lo, hi, g)
+    except ValueError as exc:  # a target atom lighter than eps lies below every source type
+        raise SchemaError(args.pi_prime, str(exc)) from None
     if not remap_preserves_mixture(lo, hi, g, g_prime):
         raise ValueError("remapped assignment failed its structural checks")
     payload = json.dumps(serialize.type_strategy_map_to_obj(g_prime), indent=2) + "\n"
@@ -244,25 +255,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), args.out)
         return 0
 
-    if args.kind not in _DILEMMAS:
-        raise SchemaError("flags", f"unknown sweep kind {args.kind!r}")
-    params = {f.metadata["flag"]: f for f in fields(_DILEMMAS[args.kind])}
-    if args.param not in params:
-        raise SchemaError("flags", f"kind {args.kind!r} sweeps one of {tuple(params)}")
     if args.seed is None:
         raise SchemaError("flags", "rate sweeps draw Monte Carlo samples; --seed is required")
-    if params[args.param].type == "int":
-        bad = [v for v in values if not v.is_integer()]
-        if bad:
-            raise SchemaError("--values", f"--param {args.param} takes integers, got {bad[0]!r}")
-        values = [int(v) for v in values]
+    specs = [_dilemma_from_args(args, **{args.param: value}) for value in values]
     dist = RelativeTypeDistribution(q=args.q, beta_point=args.beta_point)
     child_seeds = [
         int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(args.seed).spawn(len(values))
     ]
     rows = []
-    for value, child in zip(values, child_seeds):
-        spec = _dilemma_from_args(args, **{args.param: value})
+    for value, spec, child in zip(values, specs, child_seeds):
         rate = cooperation_rate(spec, dist, args.samples, child)
         rows.append([float(value), rate.exact_rate, rate.mc_rate, rate.mc_stderr])
     _emit(_csv([args.param, "exact_rate", "mc_rate", "mc_stderr"], rows), args.out)

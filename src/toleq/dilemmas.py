@@ -308,12 +308,13 @@ def cooperation_threshold(spec: DilemmaSpec, beta=None):
     on beliefs and ``beta`` only sets the shape of the result.  For Traveler's
     Dilemma, ``beta=None`` gives the worst-case threshold 2b-1; with a belief
     it is max(beta*(b-1), b - beta*(high-low)).  Bertrand requires a belief.
-    ``beta`` may be a scalar, giving a float, or an array, giving an array of
-    the same shape.
+    ``beta`` may be a scalar, giving a float, or an array of beliefs in
+    [0, 1], giving an array of the same shape.
     """
     if isinstance(spec, (PrisonersDilemma, PublicGoods)):
         value = spec.cost if isinstance(spec, PrisonersDilemma) else 1.0 - spec.marginal_return
-        return value if np.ndim(beta) == 0 else np.full(np.shape(beta), float(value))
+        shape = () if beta is None else _beliefs(beta).shape
+        return np.full(shape, float(value)) if shape else value
     if not isinstance(spec, (TravelersDilemma, BertrandCompetition)):
         raise TypeError(f"unknown dilemma spec {spec!r}")
     if beta is None:

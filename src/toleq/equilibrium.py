@@ -16,11 +16,12 @@ otherwise the strategies are sorted by regret once, and at every atom the
 strategy mass above it is compared with the type mass above it.  When no
 inequality fails, every type of the witness plays each entry at or below
 eps with that entry's own probability, so the entry demands no type, and
-fills the rest from the lowest-regret-first quantile (north-west-corner)
-coupling of type mass and supported mass, the same coupling
-``tolerance.dominance_remap`` uses to move an assignment onto a dominating
-distribution.  Each type then carries the same share of the supported mass
-as of the type mass, and the witness rebuilds the mixture exactly.
+fills the rest from the quantile coupling of type mass and supported mass,
+lowest regret first, that ``tolerance.dominance_remap`` also uses.  It
+never hands a type a strategy above its tolerance, and moves no strategy's
+mass by more than the largest shortfall that the eps slack of the tail
+comparisons leaves: at most eps, unless entries at or below eps take their
+share of the type mass above a threshold.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .tolerance import (
     DiscreteToleranceDist,
     DiscreteToleranceProfile,
     TypeStrategyMap,
-    _quantile_overlap,
+    _quantile_coupling,
     point_mass,
 )
 
@@ -96,11 +97,12 @@ def _player_check(
     np.cumsum(np.where(supported, sigma, 0.0)[order], out=supported_cum[1:])
     type_cum = np.cumsum((0.0, *dist.probs))
     tolerances = np.asarray(dist.support) + eps
+    ranked = regret_vec[order]
     # The supported mass with regret above support[j] + eps must fit inside
     # the type mass above support[j], plus eps.  With both tails written as
     # total less cumulative mass, that is one comparison of cumulative masses
     # whose slack includes the mass no entry above eps carries.
-    kept = supported_cum[np.searchsorted(regret_vec[order], tolerances, side="right")]
+    kept = supported_cum[np.searchsorted(ranked, tolerances, side="right")]
     slack = type_cum[-1] - supported_cum[-1]
     failed = np.flatnonzero(type_cum[1:] > kept + slack + eps)
     if failed.size:
@@ -117,21 +119,13 @@ def _player_check(
             ),
         )
 
-    # Every type plays each entry at or below eps with that entry's own
-    # probability and fills the rest with the same quantile share of the
-    # supported mass, lowest regret first.
+    # Column 0 of the coupling, order[0], is a best response, so every type
+    # may take from at least one column.
     unsupported = np.where(supported, 0.0, np.maximum(sigma, 0.0))
     rest = 1.0 - unsupported.sum()
     shares = np.empty((len(tolerances), len(sigma)))
-    shares[:, order] = _quantile_overlap(type_cum * (rest / type_cum[-1]), supported_cum)
-    totals = shares.sum(axis=1)
-    if not totals.all():
-        # An atom lighter than eps can lie wholly past the supported mass; it
-        # plays a best response, which every tolerance allows.
-        empty = totals == 0.0
-        shares[empty, order[0]] = 1.0
-        totals[empty] = 1.0
-    alloc = unsupported + shares * (rest / totals)[:, None]
+    shares[:, order] = _quantile_coupling(dist.support, type_cum * (rest / type_cum[-1]), ranked, supported_cum)
+    alloc = unsupported + shares * (rest / shares.sum(axis=1))[:, None]
     return TypeStrategyMap(dist.support, tuple(MixedStrategy(tuple(row)) for row in alloc.tolist()))
 
 

@@ -3,9 +3,10 @@
 Discrete distributions carry the finite type supports used by the verifier;
 the continuous CDF families back the Prisoner's Dilemma fixed-point analysis.
 ``dominance_remap`` rebuilds a type-to-strategy assignment for a dominating
-distribution by transporting quantile mass left to right, which preserves the
-aggregate mixture exactly and never assigns a type a strategy that belonged
-to a higher type.
+distribution by transporting quantile mass left to right with
+``_quantile_coupling``, which also builds the verifier's witness and holds the
+one rule for atoms lighter than eps; no type is handed a strategy that
+belonged to a higher type.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ import numpy as np
 
 from .games import MixedStrategy
 from .numeric import epsnum
+
+
+def _check_support(support: tuple[float, ...]) -> None:
+    """Tolerance atoms must be finite, non-negative and strictly increasing."""
+    if not all(0.0 <= t < math.inf for t in support):
+        raise ValueError(f"tolerances must be finite and non-negative, got {support}")
+    if any(b <= a for a, b in zip(support, support[1:])):
+        raise ValueError("support must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -32,10 +41,7 @@ class DiscreteToleranceDist:
         eps = epsnum()
         if len(support) != len(probs) or not support:
             raise ValueError("support and probs must be non-empty and aligned")
-        if not all(0.0 <= t < math.inf for t in support):
-            raise ValueError(f"tolerances must be finite and non-negative, got {support}")
-        if any(b <= a for a, b in zip(support, support[1:])):
-            raise ValueError("support must be strictly increasing")
+        _check_support(support)
         if not all(0.0 < p <= 1 + eps for p in probs):
             raise ValueError(f"atom masses must lie in (0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > eps:
@@ -105,10 +111,7 @@ class TypeStrategyMap:
         strategies = tuple(self.strategies)
         if len(support) != len(strategies) or not support:
             raise ValueError("support and strategies must be non-empty and aligned")
-        if not all(0.0 <= t < math.inf for t in support):
-            raise ValueError(f"tolerances must be finite and non-negative, got {support}")
-        if any(b <= a for a, b in zip(support, support[1:])):
-            raise ValueError("support must be strictly increasing")
+        _check_support(support)
         sizes = {len(s.probs) for s in strategies}
         if len(sizes) != 1:
             raise ValueError("all strategies must cover the same pure-strategy set")
@@ -141,46 +144,45 @@ class TransportPlan:
     beta: tuple[float, ...]
 
 
-def _quantile_overlap(row_cum: np.ndarray, col_cum: np.ndarray) -> np.ndarray:
-    """North-west-corner coupling of two distributions given by cumulative masses.
+def _quantile_coupling(row_pos, row_cum, col_pos, col_cum) -> np.ndarray:
+    """North-west-corner coupling of two distributions on sorted positions.
 
-    ``row_cum`` and ``col_cum`` start at 0 and end at the total mass; entry
-    [j, h] is the length of the overlap of the quantile intervals
-    [row_cum[j], row_cum[j + 1]] and [col_cum[h], col_cum[h + 1]].
+    Entry [j, h] is the overlap of [row_cum[j], row_cum[j+1]] and [B[h],
+    B[h+1]].  A row may take only from columns at most eps above it, so B,
+    the one rule for atoms lighter than eps, is col_cum with each boundary
+    moved right, up to the column total, by the largest shortfall so far of
+    the rows that may not pass it: at most eps under dominance within eps.
+    A row left without mass, past the column total or too light to widen the
+    cumulative sum, takes its mass or the smallest normal float from column 0.
     """
-    lo = np.maximum.outer(row_cum[:-1], col_cum[:-1])
-    hi = np.minimum.outer(row_cum[1:], col_cum[1:])
-    return np.maximum(hi - lo, 0.0)
+    reach = np.searchsorted(col_pos, np.add(row_pos, epsnum()), side="right")
+    bounds = col_cum
+    debt = row_cum[1:] - col_cum[reach]  # how far each row ends past the columns it may use
+    if debt.max() > 0.0:
+        shift = np.maximum.accumulate(np.concatenate(((0.0,), debt)))
+        shift = shift[np.searchsorted(reach, np.arange(1, len(col_pos) + 1), side="right")]
+        bounds = np.concatenate((col_cum[:1], np.minimum(col_cum[1:] + shift, col_cum[-1])))
+    weights = np.minimum.outer(row_cum[1:], bounds[1:]) - np.maximum.outer(row_cum[:-1], bounds[:-1])
+    weights = np.maximum(weights, 0.0)
+    fed = weights.any(axis=1)
+    if not fed.all():
+        weights[~fed, 0] = np.maximum(np.diff(row_cum)[~fed], np.finfo(float).tiny)
+    return weights
 
 
 def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDist) -> TransportPlan:
-    """Quantile-interval overlap between a dominated and a dominating distribution.
-
-    An overlap at or below eps that pairs a dominating atom with a higher
-    type of the dominated one is rounding that dominance within eps allows,
-    and is dropped; every other overlap is kept, so the plan moves the mass
-    exactly whenever dominance is exact.
+    """Quantile coupling of a dominating distribution (rows) with a dominated
+    one (columns).  It moves the mass exactly whenever dominance is exact; it
+    fails only for a dominating atom lighter than eps below every dominated
+    type, which no type may hand a strategy.
     """
-    eps = epsnum()
     if not dist_dominates(hi_dist, lo_dist):
         raise ValueError("target distribution does not stochastically dominate the source")
-    weights = _quantile_overlap(np.cumsum((0.0, *hi_dist.probs)), np.cumsum((0.0, *lo_dist.probs)))
-    lo_support, hi_support = np.asarray(lo_dist.support), np.asarray(hi_dist.support)
-    higher = lo_support[None, :] > hi_support[:, None] + eps
-    contributing = (weights > 0.0) & ~(higher & (weights <= eps))
-    weights *= contributing
-    fed = contributing.any(axis=1)
-    if not fed.all():
-        raise ValueError(
-            f"atom {int(np.argmin(fed))} of the dominating distribution received no mass; "
-            "inputs are inconsistent"
-        )
-    alpha = weights.shape[1] - 1 - np.argmax(contributing[:, ::-1], axis=1)
-    if np.any(lo_support[alpha] > hi_support + eps):
-        raise ValueError(
-            "transport would give a type a strategy of a higher type; "
-            "dominance is violated"
-        )
+    hi_cum, lo_cum = np.cumsum((0.0, *hi_dist.probs)), np.cumsum((0.0, *lo_dist.probs))
+    weights = _quantile_coupling(hi_dist.support, hi_cum, lo_dist.support, lo_cum)
+    alpha = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
+    if np.any(np.asarray(lo_dist.support)[alpha] > np.asarray(hi_dist.support) + epsnum()):
+        raise ValueError("transport would give a type a strategy of a higher type; no exact remap exists")
     beta = weights[np.arange(len(alpha)), alpha]
     weights.setflags(write=False)
     return TransportPlan(weights, tuple(alpha.tolist()), tuple(beta.tolist()))
@@ -195,9 +197,10 @@ def dominance_remap(
 
     Each atom of ``hi_dist`` plays the mixture of the ``g`` strategies whose
     quantile mass it covers.  The output map satisfies
-    ``sum_j hi.probs[j] * g'(t_j')`` = ``sum_h lo.probs[h] * g(t_h)`` exactly,
-    and every pure strategy used by atom t_j' comes from some g(t_h) with
-    t_h <= t_j'.
+    ``sum_j hi.probs[j] * g'(t_j')`` = ``sum_h lo.probs[h] * g(t_h)`` exactly
+    when ``hi_dist`` dominates exactly, and otherwise to within the largest
+    excess of hi's CDF over lo's, at most eps; every pure strategy used by
+    atom t_j' comes from some g(t_h) with t_h <= t_j' + eps.
     """
     if not g.matches(lo_dist):
         raise ValueError("map domain does not match the source distribution support")

@@ -265,6 +265,35 @@ def test_remap_under_a_coarse_epsnum_keeps_small_overlaps(tmp_path, capsys):
     assert capsys.readouterr().out == default
 
 
+def _remap_files(tmp_path, pi, pi_prime, g):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("pi", "pi_prime", "g")}
+    serialize.dump_json(serialize.discrete_dist_to_obj(pi), paths["pi"])
+    serialize.dump_json(serialize.discrete_dist_to_obj(pi_prime), paths["pi_prime"])
+    serialize.dump_json(serialize.type_strategy_map_to_obj(g), paths["g"])
+    return paths, ["remap", "--pi", paths["pi"], "--pi-prime", paths["pi_prime"], "--g", paths["g"]]
+
+
+def test_remap_gives_a_light_atom_a_strategy_of_a_lower_type(tmp_path, capsys):
+    lo = tq.DiscreteToleranceDist((0.0, 3.0), (0.5, 0.5))
+    hi = tq.DiscreteToleranceDist((0.0, 2.0, 3.0), (0.5, 5e-10, 0.5 - 5e-10))
+    g = tq.TypeStrategyMap((0.0, 3.0), (tq.MixedStrategy((0.0, 1.0)), tq.MixedStrategy((1.0, 0.0))))
+    _, argv = _remap_files(tmp_path, lo, hi, g)
+    assert main(argv) == 0, capsys.readouterr().err
+    g_prime = serialize.type_strategy_map_from_obj(json.loads(capsys.readouterr().out))
+    assert tq.remap_preserves_mixture(lo, hi, g, g_prime)
+
+
+def test_remap_without_an_exact_answer_names_the_target_file(tmp_path, capsys):
+    # hi dominates lo within eps, but its light atom at 0 lies below every
+    # type of lo, so no type may hand it a strategy
+    lo = tq.point_mass(0.5)
+    hi = tq.DiscreteToleranceDist((0.0, 1.0), (5e-10, 1 - 5e-10))
+    paths, argv = _remap_files(tmp_path, lo, hi, tq.TypeStrategyMap((0.5,), (tq.MixedStrategy((1.0, 0.0)),)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"input error: {paths['pi_prime']}: ")
+
+
 def make_cdf_file(tmp_path, obj, name="cdf.json"):
     path = tmp_path / name
     serialize.dump_json(obj, str(path))
@@ -546,3 +575,27 @@ def test_infinite_pd_benefit_is_input_error(capsys):
     assert main(["threshold", "--kind", "pd", "--benefit", "inf", "--cost", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "pd", "--benefit", "5", "--cost", "2", "--beta", "2"],
+    ["--kind", "pg", "--n", "3", "--rho", "0.5", "--beta", "nan"],
+], ids=["pd-beta-2", "pg-beta-nan"])
+def test_threshold_checks_beta_for_every_dilemma(argv, capsys):
+    assert main(["threshold", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta must lie in [0, 1]" in captured.err
+
+
+def test_spec_file_names_the_dilemma_kind(tmp_path, capsys):
+    spec = tmp_path / "pg.json"
+    serialize.dump_json(serialize.dilemma_spec_to_obj(tq.PublicGoods(3, 0.7)), str(spec))
+    sweep = ["sweep", "--spec", str(spec), "--param", "n", "--values", "3,4", "--seed", "1", "--samples", "50"]
+    assert main(sweep) == 0
+    assert main([*sweep, "--kind", "pg"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n,exact_rate,mc_rate,mc_stderr\n") and out.count("\n") == 6
+    for argv in (["threshold", "--spec", str(spec), "--kind", "td"], [*sweep, "--kind", "bertrand"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: --kind: ")

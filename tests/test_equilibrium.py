@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
+from toleq.numeric import reset_epsnum
 from toleq_oracles import (
     dominating_dist,
     feasible_instance,
@@ -15,6 +16,7 @@ from toleq_oracles import (
     random_profile,
     random_tolerance_profile,
     reference_violation,
+    with_light_atoms,
 )
 
 
@@ -81,6 +83,62 @@ def test_type_lighter_than_eps_gets_a_consistent_strategy():
     for g in verdict.witness:
         assert g.strategies[1].probs == (0.0, 1.0)  # the best response
     assert tq.witness_is_valid(game, prof, pi, verdict.witness)
+
+
+def test_type_lighter_than_eps_is_not_given_a_strategy_above_its_tolerance():
+    # claim 5 has regret 1 > 0; the tail test at 0 passes within eps, so the
+    # quantile coupling used to hand the 1e-10 type at 0 its share of claim 5
+    built = tq.build_game(tq.TravelersDilemma(2, 5, 2))
+    strategy = tq.MixedStrategy.pure(3, 4)
+    prof = tq.MixedProfile((strategy, strategy))
+    pi = tq.DiscreteToleranceProfile.iid(tq.DiscreteToleranceDist((0.0, 1.5), (1e-10, 1 - 1e-10)), 2)
+    verdict = tq.verify_tolerant_equilibrium(built.game, prof, pi)
+    assert verdict.is_equilibrium
+    for g in verdict.witness:
+        assert g.strategies[0].probs == (0.0, 0.0, 1.0, 0.0)  # claim 4, the best response
+    assert tq.witness_is_valid(built.game, prof, pi, verdict.witness)
+
+
+def test_light_types_in_two_gaps_do_not_pile_onto_one_strategy():
+    # regrets (0, 0.5, 1); the types at 0.1 and 0.6 each cover 2**-30 of a
+    # strategy above their tolerance, and both on strategy 0 would move it
+    # by 2**-29 > eps
+    d = 2.0**-30
+    game = tq.Game((("a", "b", "c"),), np.array([[1.0], [0.5], [0.0]]))
+    prof = tq.MixedProfile((tq.MixedStrategy((0.25, 0.25, 0.5)),))
+    dist = tq.DiscreteToleranceDist((0.0, 0.1, 0.5, 0.6, 1.0), (0.25, d, 0.25 - d, d, 0.5 - d))
+    pi = tq.DiscreteToleranceProfile((dist,))
+    assert reference_violation(game, prof, pi) is None
+    verdict = tq.verify_tolerant_equilibrium(game, prof, pi)
+    assert [s.probs for s in verdict.witness[0].strategies[1:4:2]] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    assert tq.witness_is_valid(game, prof, pi, verdict.witness)
+
+
+def test_type_whose_mass_rounds_away_plays_a_best_response():
+    # 1.0 + 1e-17 rounds to 1.0, so the cumulative type mass gives the type at
+    # 4 no quantile interval at all
+    game = pd_game()
+    prof = profile((0.3, 0.7), (0.3, 0.7))
+    pi = tq.DiscreteToleranceProfile.iid(tq.DiscreteToleranceDist((0.0, 3.0, 4.0), (0.7, 0.3, 1e-17)), 2)
+    verdict = tq.verify_tolerant_equilibrium(game, prof, pi)
+    assert verdict.is_equilibrium
+    for g in verdict.witness:
+        assert g.strategies[2].probs == (0.0, 1.0)  # defect, the best response
+    assert tq.witness_is_valid(game, prof, pi, verdict.witness)
+
+
+def test_witness_when_no_entry_is_supported():
+    # under eps = 0.5 neither entry of (0.5, 0.5) is supported, so the
+    # coupling has no mass to share and every type plays the profile itself
+    token = tq.set_epsnum(0.5)
+    try:
+        prof = profile((0.5, 0.5), (0.5, 0.5))
+        verdict = tq.verify_tolerant_equilibrium(pd_game(), prof, PD_PI)
+        assert verdict.is_equilibrium
+        for g in verdict.witness:
+            assert all(s.probs == (0.5, 0.5) for s in g.strategies)
+    finally:
+        reset_epsnum(token)
 
 
 @pytest.mark.parametrize(
@@ -268,3 +326,22 @@ def test_monotone_under_dominance_with_remapped_witness(seed):
         for lo, hi, g in zip(pi.per_player, dominated.per_player, verdict.witness)
     )
     assert tq.witness_is_valid(game, prof, dominated, remapped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_witness_valid_with_types_lighter_than_eps(seed, feasible):
+    # the tail comparisons allow eps of slack, so the quantile coupling can
+    # pair a type lighter than eps with a strategy above its tolerance
+    rng = np.random.default_rng(seed)
+    if feasible:
+        game, prof, pi = feasible_instance(rng)
+    else:
+        game = random_game(rng)
+        prof, _ = random_profile(rng, game)
+        pi, _ = random_tolerance_profile(rng, game)
+    pi = tq.DiscreteToleranceProfile(tuple(with_light_atoms(rng, dist) for dist in pi.per_player))
+    verdict = tq.verify_tolerant_equilibrium(game, prof, pi)
+    assert verdict.is_equilibrium == (reference_violation(game, prof, pi) is None)
+    if verdict.is_equilibrium:
+        assert tq.witness_is_valid(game, prof, pi, verdict.witness)

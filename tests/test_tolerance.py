@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import toleq as tq
 from toleq.numeric import reset_epsnum
-from toleq_oracles import dominating_dist, random_map
+from toleq_oracles import dominating_dist, random_map, with_light_atoms
 
 
 def dist(*pairs):
@@ -168,6 +168,72 @@ def _check_remap_conserves_mixture_and_order(seed):
     assert np.allclose(plan.weights.sum(axis=1), hi.probs, atol=1e-9)
     assert np.allclose(plan.weights.sum(axis=0), lo.probs, atol=1e-9)
     assert tq.remap_preserves_mixture(lo, hi, g, out)
+
+
+def test_remap_gives_a_light_atom_a_strategy_of_a_lower_type():
+    # the 5e-10 atom at 2 covers quantile mass of the type at 3; dropping
+    # that overlap used to leave it with no mass and raise
+    lo = dist((0.0, 0.5), (3.0, 0.5))
+    hi = dist((0.0, 0.5), (2.0, 5e-10), (3.0, 0.5 - 5e-10))
+    assert tq.dist_dominates(hi, lo)
+    plan = tq.transport_plan(lo, hi)
+    assert plan.alpha == (0, 0, 1)
+    assert plan.weights[1, 0] == pytest.approx(5e-10, rel=1e-6) and plan.weights[1, 1] == 0.0
+    g = tq.TypeStrategyMap(lo.support, (pure(1), pure(0)))
+    out = tq.dominance_remap(lo, hi, g)
+    assert out.strategies[1].probs == (0.0, 1.0)
+    assert tq.remap_preserves_mixture(lo, hi, g, out)
+
+
+def test_remap_rejects_a_light_atom_below_every_source_type():
+    lo = tq.point_mass(0.5)
+    hi = dist((0.0, 5e-10), (1.0, 1 - 5e-10))
+    assert tq.dist_dominates(hi, lo)
+    g = tq.TypeStrategyMap(lo.support, (pure(0),))
+    with pytest.raises(ValueError, match="no exact remap exists"):
+        tq.dominance_remap(lo, hi, g)
+
+
+def test_remap_spreads_light_atoms_over_the_types_they_may_use():
+    # the atoms at 0.5 and 1.5 each cover 2**-30 of the next type up; sending
+    # both to type 0 would move its mass by 2**-29 > eps
+    d = 2.0**-30
+    lo = dist((0.0, 0.25), (1.0, 0.25), (2.0, 0.5))
+    hi = dist((0.0, 0.25), (0.5, d), (1.0, 0.25 - d), (1.5, d), (2.0, 0.5 - d))
+    assert tq.dist_dominates(hi, lo)
+    g = tq.TypeStrategyMap(lo.support, (pure(0, 3), pure(1, 3), pure(2, 3)))
+    out = tq.dominance_remap(lo, hi, g)
+    assert [s.probs for s in out.strategies[1:4:2]] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    assert tq.remap_preserves_mixture(lo, hi, g, out)
+
+
+def test_remap_light_atoms_in_two_gaps_do_not_add_up():
+    # types 0 and 2 play the same strategy, so a light atom fed from each
+    # of them in turn would move that strategy by 2**-29 > eps
+    d = 2.0**-30
+    lo = dist((0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25))
+    hi = dist((0.0, 0.25), (0.5, d), (1.0, 0.25 - d), (2.0, 0.25), (2.5, d), (3.0, 0.25 - d))
+    assert tq.dist_dominates(hi, lo)
+    g = tq.TypeStrategyMap(lo.support, (pure(0), pure(1), pure(0), pure(1)))
+    assert tq.remap_preserves_mixture(lo, hi, g, tq.dominance_remap(lo, hi, g))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**9))
+def test_remap_serves_light_dominating_atoms(seed):
+    # an exact remap exists whenever no atom of hi lies more than eps below
+    # every atom of lo; light atoms each take mass from the atom above them,
+    # so hi dominates lo only within eps, in up to three places.  Pure
+    # strategies keep a misplaced light atom's mass from being diluted.
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.1, 2.0, int(rng.integers(1, 7)))
+    lo = tq.DiscreteToleranceDist(tuple(np.cumsum(steps) - steps[0] * rng.integers(0, 2)),
+                                  tuple(rng.dirichlet(np.ones(len(steps)))))
+    base = lo if rng.random() < 0.5 else dominating_dist(rng, lo)
+    hi = with_light_atoms(rng, base, floor=lo.support[0])
+    assert tq.dist_dominates(hi, lo) and hi.support[0] >= lo.support[0]
+    g = tq.TypeStrategyMap(lo.support, tuple(pure(int(k)) for k in rng.integers(0, 2, len(lo.support))))
+    assert tq.remap_preserves_mixture(lo, hi, g, tq.dominance_remap(lo, hi, g))
 
 
 def test_uniform_cdf_values():

@@ -249,6 +249,29 @@ def dominating_dist(rng, dist):
     return out
 
 
+def with_light_atoms(rng, dist, floor=0.0):
+    """dist with one to three atoms lighter than 1e-9 added, at or above floor.
+
+    Each sits in its own gap below an atom of dist, sometimes at the gap's
+    left end, and takes its mass from that atom, so it raises the CDF by its
+    own mass on an interval no other one touches.  Half the masses lie
+    between 0.5e-9 and 0.999e-9, so two of them together outweigh 1e-9; the
+    rest are spread log-uniformly from 1e-12.
+    """
+    placed = dict(zip(dist.support, dist.probs))
+    above = [i for i, t in enumerate(dist.support) if t > floor]
+    for i in rng.permutation(above)[: int(rng.integers(1, 4))]:
+        left = max(floor, dist.support[i - 1]) if i else floor
+        spot = left if rng.random() < 0.3 else float(rng.uniform(left, dist.support[i]))
+        if spot not in placed:
+            scale = rng.uniform(0.5, 1.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 0.0)
+            mass = min(0.999e-9 * float(scale), 0.5 * placed[dist.support[i]])
+            placed[dist.support[i]] -= mass
+            placed[spot] = mass
+    atoms = sorted(placed)
+    return tq.DiscreteToleranceDist(tuple(atoms), tuple(placed[t] for t in atoms))
+
+
 def random_map(rng, dist, n_strategies):
     """Arbitrary type-to-strategy assignment over dist's support."""
     strategies = []
