@@ -63,6 +63,12 @@ def _parse_values(text: str) -> list[float]:
     raise SchemaError("--values", f"expected lo:hi:count (count >= 1) or a list like 1,2,3, got {text!r}")
 
 
+def _check_probability(flag: str, value: float | None, what: str) -> None:
+    """A flag that holds a probability must lie in [0, 1] (NaN does not)."""
+    if value is not None and not 0.0 <= value <= 1.0:
+        raise SchemaError(flag, f"{what} must lie in [0, 1], got {value!r}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -180,7 +186,10 @@ def cmd_pd_solve(args: argparse.Namespace) -> int:
 
     report = solve_symmetric(payoffs, dist)
     if args.out is not None:
-        alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=args.grid)
+        try:
+            alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=args.grid)
+        except ValueError as exc:
+            raise SchemaError("--grid", str(exc)) from None
         rows = [[float(x), float(l), float(r)] for x, l, r in zip(alphas, lhs, rhs)]
         _emit(_csv(["alpha", "lhs", "rhs"], rows), args.out)
     if args.fmt == "structured-object":
@@ -213,6 +222,8 @@ def cmd_pd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
+    _check_probability("--beta", args.beta, "beta")
+    _check_probability("--t-rel", args.t_rel, "relative tolerance")
     spec = _dilemma_from_args(args)
     threshold = cooperation_threshold(spec, args.beta)
     lines = [f"threshold: {threshold!r}"]
@@ -257,6 +268,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.seed is None:
         raise SchemaError("flags", "rate sweeps draw Monte Carlo samples; --seed is required")
+    _check_probability("--q", args.q, "q")
+    _check_probability("--beta-point", args.beta_point, "pinned belief")
+    if args.samples < 1:
+        raise SchemaError("--samples", f"need at least one sample, got {args.samples}")
     specs = [_dilemma_from_args(args, **{args.param: value}) for value in values]
     dist = RelativeTypeDistribution(q=args.q, beta_point=args.beta_point)
     child_seeds = [

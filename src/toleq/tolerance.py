@@ -241,7 +241,8 @@ class ContinuousCdf:
 
     Subclasses are immutable, evaluate on scalars or arrays, are continuous
     everywhere, satisfy F(x) = 0 left of their domain and F(inf) = 1, and are
-    closed under rightward shift.
+    closed under rightward shift.  They clamp with np.minimum and np.maximum:
+    on the 0-d arrays of a root search, np.clip costs about twice as much.
     """
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -281,7 +282,7 @@ class UniformCdf(ContinuousCdf):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
 
     def shifted(self, delta: float) -> "UniformCdf":
         delta = _check_shift(delta)
@@ -334,9 +335,9 @@ class TruncatedExponentialCdf(ContinuousCdf):
             raise ValueError("need rate > 0, cap > 0, shift >= 0")
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        z = np.clip(x - self.shift, 0.0, self.cap)
+        z = np.minimum(np.maximum(x - self.shift, 0.0), self.cap)
         ratio = -np.expm1(-self.rate * z) / -math.expm1(-self.rate * self.cap)
-        return np.clip(ratio, 0.0, 1.0)
+        return np.minimum(np.maximum(ratio, 0.0), 1.0)
 
     def shifted(self, delta: float) -> "TruncatedExponentialCdf":
         delta = _check_shift(delta)

@@ -347,6 +347,17 @@ def test_pd_solve_structured_output_brackets_each_root(tmp_path, capsys):
     assert [root["bracket"][0] <= root["alpha_star"] <= root["bracket"][1] for root in obj["roots"]] == [True]
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_pd_solve_grid_below_one_names_the_flag(grid, tmp_path, capsys):
+    cdf = make_cdf_file(tmp_path, {"type": "uniform", "lo": 0, "hi": 4})
+    curve = tmp_path / "curve.csv"
+    argv = ["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", cdf, "--grid", grid]
+    assert main([*argv, "--out", str(curve)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: --grid: ")
+    assert not curve.exists()
+
+
 NON_FINITE_DOCUMENTS = {
     "profile": '{"strategies": [[NaN, NaN], [NaN, NaN]]}',
     "pi": '{"players": [{"type": "discrete", "support": [0.0, NaN], "probs": [0.5, 0.5]},'
@@ -599,3 +610,21 @@ def test_spec_file_names_the_dilemma_kind(tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error: --kind: ")
+
+
+RATE_SWEEP = ["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100", "--values", "2,3",
+              "--seed", "1"]
+TD_THRESHOLD = ["threshold", "--kind", "td", "--low", "2", "--high", "100", "--bonus", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([*TD_THRESHOLD, "--beta", "2"], "--beta"),
+    ([*RATE_SWEEP, "--beta-point", "1.5"], "--beta-point"),
+    ([*RATE_SWEEP, "--q", "1.5"], "--q"),
+    ([*RATE_SWEEP, "--samples", "0"], "--samples"),
+    (["threshold", "--kind", "pd", "--benefit", "5", "--cost", "2", "--t-rel", "nan"], "--t-rel"),
+], ids=["beta", "beta-point", "q", "samples", "t-rel"])
+def test_belief_and_sampling_flags_name_themselves(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"input error: {flag}: ")

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
+from toleq import numeric, pd_tolerant
 from toleq.pd_tolerant import as_game
-from toleq_oracles import scan_and_bisect_roots
+from toleq_oracles import bisect_root, reference_solve_discrete, scan_and_bisect_roots
 
 EXAMPLE = tq.PdPayoffs(cc=3, cd=-1, dc=5, dd=0)  # delta_c = 2, delta_d = 1
 
@@ -137,6 +138,39 @@ def test_discrete_matches_continuous_limit():
     assert solutions[0] == pytest.approx(0.6, abs=1e-3)
 
 
+@st.composite
+def discrete_instances(draw):
+    """A comparison tolerance and an instance under it.  Atoms and gains lie
+    anywhere or on half-integers, where atoms can sit on gap(0), on gap(1), on
+    each other's breakpoints, or eps below one of those; delta_c may lie
+    within eps of delta_d."""
+    eps = draw(st.sampled_from((numeric.DEFAULT_EPSNUM, 1e-3, 0.05)))
+    half = draw(st.booleans())
+    if half:
+        atom = st.builds(lambda k, below: max(k / 2 - eps * below, 0.0), st.integers(0, 12), st.booleans())
+    else:
+        atom = st.floats(0.0, 6.0)
+    gain = st.integers(1, 10).map(lambda k: k / 2) if half else st.floats(0.1, 5.0)
+    atoms = sorted(draw(st.lists(atom, min_size=1, max_size=6, unique=True)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    delta_d = draw(gain)
+    delta_c = draw(st.one_of(gain, st.sampled_from((0.0, 0.5 * eps, eps, 0.04)).map(lambda d: delta_d + d)))
+    p = tq.PdPayoffs(cc=3.0, cd=2.0 - delta_d, dc=3.0 + delta_c, dd=2.0)
+    total = sum(weights)
+    return eps, p, tq.DiscreteToleranceDist(tuple(atoms), tuple(w / total for w in weights))
+
+
+@settings(max_examples=500, deadline=None)
+@given(discrete_instances())
+def test_solve_discrete_matches_the_numpy_reference(instance):
+    eps, p, pi = instance
+    token = numeric.set_epsnum(eps)
+    try:
+        assert repr(tq.solve_discrete(p, pi)) == repr(reference_solve_discrete(p, pi))
+    finally:
+        numeric.reset_epsnum(token)
+
+
 def test_asymmetric_contains_symmetric_solution():
     pairs = tq.solve_asymmetric(EXAMPLE, EXAMPLE, tq.UniformCdf(0, 4), tq.UniformCdf(0, 4))
     assert any(
@@ -226,6 +260,10 @@ def test_fixed_point_curve_crossings():
     assert count_crossings(lhs - rhs) == 1
     alphas, lhs, rhs = tq.fixed_point_curve(MULTI_PAYOFFS, MULTI_CDF, grid=2000)
     assert count_crossings(lhs - rhs) >= 2
+    assert tq.fixed_point_curve(EXAMPLE, tq.UniformCdf(0, 4), grid=1)[0].tolist() == [0.0, 1.0]
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match="at least one interval"):
+            tq.fixed_point_curve(EXAMPLE, tq.UniformCdf(0, 4), grid=grid)
 
 
 @settings(max_examples=50, deadline=None)
@@ -513,6 +551,43 @@ def test_asymmetric_texp_pairs_solve_both_responses(seed, texp_sides):
             a1 == pytest.approx(root.alpha_star, abs=1e-9) and a2 == pytest.approx(root.alpha_star, abs=1e-9)
             for a1, a2 in diagonal
         )
+
+
+def test_bracketed_roots_match_bisection_in_few_evaluations(monkeypatch):
+    """Every root the solvers find between two breakpoints or critical points
+    lies within 1e-12 of plain bisection on the same bracket, and takes few
+    evaluations; uniform and piecewise-linear pieces never reach the search."""
+    solve = pd_tolerant._bracketed_root
+    counts = []
+
+    def recorded(fn, lo, hi, f_lo, f_hi):
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return fn(alpha)
+
+        root = solve(counted, lo, hi, f_lo, f_hi)
+        counts.append(len(calls))
+        assert abs(root - bisect_root(fn, lo, hi, f_lo)) <= 1e-12
+        return root
+
+    monkeypatch.setattr(pd_tolerant, "_bracketed_root", recorded)
+    rng = np.random.default_rng(12)
+    for _ in range(120):
+        p1, p2 = (random_payoffs(rng, *map(float, rng.uniform(0.2, 4.0, size=2))) for _ in range(2))
+        f1, f2 = random_texp(rng), random_piecewise_linear(rng, p2, bool(rng.integers(2)))
+        before = len(counts)
+        tq.solve_symmetric(p2, f2)
+        tq.solve_asymmetric(p1, p2, f2, f2)
+        assert len(counts) == before
+        tq.solve_symmetric(p1, f1)
+        tq.solve_asymmetric(p1, p2, f1, f2)
+        tq.solve_asymmetric(p2, p1, f2, f1)
+        tq.solve_asymmetric(p1, p2, f1, random_texp(rng))
+    assert len(counts) > 200
+    assert max(counts) <= 130
+    assert np.median(counts) <= 20
 
 
 def test_non_finite_payoffs_rejected():

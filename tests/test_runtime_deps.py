@@ -1,4 +1,6 @@
-"""The runtime imports only numpy: scipy is a test dependency."""
+"""The runtime imports only numpy and the standard library: scipy is a test
+dependency, and anything else an import pulls in is start-up time paid by
+every CLI call."""
 
 import os
 import subprocess
@@ -10,10 +12,24 @@ import pytest
 import toleq
 
 
-@pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
-def test_import_does_not_load_scipy(module):
+def _loaded_by(module: str) -> set[str]:
+    """Top-level names of the modules that importing ``module`` loads in a
+    fresh interpreter."""
     src = str(Path(toleq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        f"import sys; before = set(sys.modules); import {module}\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
+def test_import_does_not_load_scipy(module):
+    assert "scipy" not in _loaded_by(module)
+
+
+@pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
+def test_import_loads_only_numpy_and_the_standard_library(module):
+    assert _loaded_by(module) - {"numpy", "toleq"} - set(sys.stdlib_module_names) == set()

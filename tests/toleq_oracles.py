@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's computation paths: expected
 utilities are plain loops over pure profiles, feasibility goes through an
 integer max-flow, the first failed threshold inequality is found by plain
 loops over atoms and strategies, the Bertrand share factor is enumerated
-outcome by outcome, and fixed-point roots come from a grid scan with
-bisection.
+outcome by outcome, fixed-point roots come from a grid scan with plain
+bisection, and discrete fixed points from the numpy solver that the
+plain-float one replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 import toleq as tq
+from toleq.numeric import epsnum
 
 MASS_UNITS = 24  # all random masses are multiples of 1/24, so flow is exact
 
@@ -109,6 +111,23 @@ def is_standard_epsilon_nash(game, profile, epsilon, tol=1e-12):
     return True
 
 
+def bisect_root(fn, lo, hi, f_lo):
+    """Plain bisection of a scalar fn whose sign differs at lo and hi: halve
+    until lo and hi are adjacent floats, or return an exact zero at once."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def scan_and_bisect_roots(fn, intervals=10_000, tol=1e-12):
     """Roots of fn on [0, 1] by a plain loop over a uniform grid.
 
@@ -120,26 +139,59 @@ def scan_and_bisect_roots(fn, intervals=10_000, tol=1e-12):
     """
     alphas = [k / intervals for k in range(intervals + 1)]
     values = [float(v) for v in fn(np.array(alphas))]
+
+    def scalar(alpha):
+        return float(fn(np.array([alpha]))[0])
+
     roots = []
     for k, (alpha, value) in enumerate(zip(alphas, values)):
         if abs(value) <= tol:
             roots.append(alpha)
         elif k and abs(values[k - 1]) > tol and (values[k - 1] > 0) != (value > 0):
-            lo, hi, f_lo = alphas[k - 1], alpha, values[k - 1]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
-                f_mid = float(fn(np.array([mid]))[0])
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_mid > 0) == (f_lo > 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+            roots.append(bisect_root(scalar, alphas[k - 1], alpha, values[k - 1]))
     return roots
+
+
+def reference_solve_discrete(p, pi):
+    """The numpy solve_discrete that the plain-float one replaced, kept
+    verbatim as the reference it must match bit for bit."""
+    e = epsnum()
+    atoms = np.asarray(pi.support)
+    suffix = np.concatenate((np.cumsum(np.asarray(pi.probs)[::-1])[::-1], [0.0]))
+
+    def mass_at_least(x: float) -> float:
+        return float(suffix[np.searchsorted(atoms, x - e, side="left")])
+
+    d_c, d_d = p.delta_c, p.delta_d
+
+    def gap(alpha: float) -> float:
+        return alpha * d_c + (1.0 - alpha) * d_d
+
+    solutions: list[float] = []
+    if abs(d_c - d_d) <= e:
+        solutions.append(mass_at_least(d_d))
+    else:
+        breaks = sorted(
+            {float((t - d_d) / (d_c - d_d)) for t in atoms if 0.0 < (t - d_d) / (d_c - d_d) < 1.0}
+        )
+        # Walk the pieces in the direction in which the response falls: up
+        # from alpha = 0 when gap grows with alpha, down from 1 otherwise.
+        # Each piece is evaluated at its far end, which it owns; its near end
+        # belongs to the previous piece, or to the check at the start.
+        sign = 1.0 if d_c > d_d else -1.0
+        walk = [0.0, *breaks, 1.0][:: int(sign)]
+        if abs(mass_at_least(gap(walk[0])) - walk[0]) <= e:
+            solutions.append(walk[0])
+        for near, far in zip(walk, walk[1:]):
+            value = mass_at_least(gap(far))
+            if sign * (near + sign * e) < sign * value <= sign * (far + sign * e):
+                solutions.append(value)
+
+    deduped: list[float] = []
+    for s in sorted(solutions):
+        if not deduped or s - deduped[-1] > e:
+            deduped.append(min(max(s, 0.0), 1.0))
+    return deduped
 
 
 def bertrand_f_enum(n, beta):
