@@ -168,6 +168,8 @@ def cmd_remap(args: argparse.Namespace) -> int:
 
 
 def cmd_pd_solve(args: argparse.Namespace) -> int:
+    if args.grid < 1:
+        raise SchemaError("--grid", f"the curve needs at least one interval, got {args.grid}")
     if None in (args.a, args.b, args.c, args.d):
         raise SchemaError("payoffs", "pd-solve needs --a, --b, --c and --d")
     payoffs = PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
@@ -186,10 +188,7 @@ def cmd_pd_solve(args: argparse.Namespace) -> int:
 
     report = solve_symmetric(payoffs, dist)
     if args.out is not None:
-        try:
-            alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=args.grid)
-        except ValueError as exc:
-            raise SchemaError("--grid", str(exc)) from None
+        alphas, lhs, rhs = fixed_point_curve(payoffs, dist, grid=args.grid)
         rows = [[float(x), float(l), float(r)] for x, l, r in zip(alphas, lhs, rhs)]
         _emit(_csv(["alpha", "lhs", "rhs"], rows), args.out)
     if args.fmt == "structured-object":

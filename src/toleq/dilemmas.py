@@ -10,10 +10,14 @@ instead of contracting that tensor: a Public Goods payoff is linear in every
 contribution, and a Bertrand sale is split by an integral of a polynomial in
 one variable.  Cooperation rates over relative types are available both
 exactly (uniform relative tolerance, uniform or pinned belief) and by seeded
-Monte Carlo.  An exact rate under a uniform belief integrates a piecewise
-polynomial: the pieces end at real roots of explicit polynomials, and
-Gauss-Legendre with enough nodes for each piece's degree integrates every
-piece without error beyond rounding.
+Monte Carlo.  The Monte Carlo rate reads its n tolerances, beliefs and
+dispositions in fixed-size blocks from the seed's PCG64 stream at offsets
+0, n and 2n (0 and n for a pinned belief, which draws no beliefs): the rate
+is identical to drawing the whole arrays, and memory does not grow with n.
+An exact rate under a uniform belief integrates a piecewise polynomial: the
+pieces end at real roots of explicit polynomials, and Gauss-Legendre with
+enough nodes for each piece's degree integrates every piece without error
+beyond rounding.
 
 Each spec class is described once, by its fields: a field's annotation
 (``int`` or ``float``) says how it is parsed and checked, and its metadata
@@ -376,12 +380,6 @@ class RelativeTypeDistribution:
         if self.beta_point is not None and not 0.0 <= self.beta_point <= 1.0:
             raise ValueError("pinned belief must lie in [0, 1]")
 
-    def sample(self, rng: np.random.Generator, n: int):
-        t_rel = rng.random(n)
-        beta = np.full(n, self.beta_point) if self.beta_point is not None else rng.random(n)
-        is_c = rng.random(n) < self.q
-        return t_rel, beta, is_c
-
 
 def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[np.ndarray, np.ndarray]:
     """Power-basis coefficients of the two polynomials in beta whose maximum
@@ -451,6 +449,9 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
     return dist.q * float(np.sum(width * weights * conditional(betas)))
 
 
+_BLOCK = 8192  # samples per block: 64 KB float arrays, below glibc's 128 KB mmap threshold
+
+
 @dataclass(frozen=True)
 class CooperationRate:
     mc_rate: float
@@ -465,14 +466,44 @@ def cooperation_rate(
     seed: int,
 ) -> CooperationRate:
     """Monte Carlo cooperation rate (deterministic per seed), with the exact
-    rate attached."""
+    rate attached.
+
+    The draws are those of ``np.random.default_rng(seed)`` filling, in turn,
+    ``samples`` relative tolerances, ``samples`` beliefs (unless the belief
+    is pinned) and ``samples`` dispositions.  Each float64 takes one output
+    of the seed's PCG64, so each of the three arrays is read in blocks of
+    ``_BLOCK`` from its own PCG64 advanced to the array's offset: 0, n and
+    2n, or 0 and n for a pinned belief.  The rate is identical to drawing
+    the whole arrays, and memory does not grow with ``samples``.  A pinned
+    belief, the Prisoner's Dilemma and Public Goods have one threshold, and
+    no belief is drawn for them; with q = 1 every disposition is C, and none
+    is drawn.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    t_rel, beta, is_c = dist.sample(rng, samples)
-    thresholds = cooperation_threshold(spec, np.asarray(beta, dtype=float))
-    scale = all_cooperate_payoff(spec)
-    cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - epsnum())
-    rate = float(cooperates.mean())
+    pinned = dist.beta_point is not None
+    per_sample = not pinned and isinstance(spec, (TravelersDilemma, BertrandCompetition))
+    scale, eps = all_cooperate_payoff(spec), epsnum()
+    limit = None if per_sample else cooperation_threshold(spec, dist.beta_point) - eps
+
+    def stream(offset: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(seed).advance(offset))
+
+    tolerances = stream(0)
+    beliefs = stream(samples) if per_sample else None
+    dispositions = stream(samples if pinned else 2 * samples) if dist.q < 1.0 else None
+    t_buf, b_buf, d_buf = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+    ok_buf, c_buf = np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=bool)
+    count = 0
+    for start in range(0, samples, _BLOCK):
+        size = min(_BLOCK, samples - start)
+        t_rel = tolerances.random(out=t_buf[:size])
+        if beliefs is not None:
+            limit = cooperation_threshold(spec, beliefs.random(out=b_buf[:size])) - eps
+        ok = np.greater_equal(np.multiply(t_rel, scale, out=t_rel), limit, out=ok_buf[:size])
+        if dispositions is not None:
+            ok &= np.less(dispositions.random(out=d_buf[:size]), dist.q, out=c_buf[:size])
+        count += int(np.count_nonzero(ok))
+    rate = count / samples
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
     return CooperationRate(rate, stderr, exact_cooperation_rate(spec, dist))

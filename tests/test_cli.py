@@ -358,6 +358,23 @@ def test_pd_solve_grid_below_one_names_the_flag(grid, tmp_path, capsys):
     assert not curve.exists()
 
 
+@pytest.mark.parametrize("cdf_obj, grid, with_out", [
+    ({"type": "uniform", "lo": 0, "hi": 4}, "0", False),
+    ({"type": "discrete", "support": [1.5], "probs": [1.0]}, "-3", False),
+    ({"type": "discrete", "support": [1.5], "probs": [1.0]}, "-3", True),
+], ids=["uniform-stdout", "discrete-stdout", "discrete-out"])
+def test_pd_solve_checks_grid_for_every_cdf(cdf_obj, grid, with_out, tmp_path, capsys):
+    # --grid only shapes the --out curve, but a bad value is bad input even
+    # where no curve is drawn
+    cdf = make_cdf_file(tmp_path, cdf_obj)
+    curve = tmp_path / "curve.csv"
+    argv = ["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d", "0", "--cdf", cdf, "--grid", grid]
+    assert main([*argv, *(["--out", str(curve)] if with_out else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: --grid: ")
+    assert not curve.exists()
+
+
 NON_FINITE_DOCUMENTS = {
     "profile": '{"strategies": [[NaN, NaN], [NaN, NaN]]}',
     "pi": '{"players": [{"type": "discrete", "support": [0.0, NaN], "probs": [0.5, 0.5]},'

@@ -1,12 +1,16 @@
 """Dilemma games, closed-form thresholds, and cooperation rates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toleq as tq
-from toleq_oracles import bertrand_f_enum, brute_expected_utility
+from toleq.dilemmas import _BLOCK
+from toleq.numeric import reset_epsnum
+from toleq_oracles import bertrand_f_enum, brute_expected_utility, reference_cooperation_rate
 
 
 def test_pd_game_payoffs():
@@ -315,6 +319,63 @@ def test_monte_carlo_deterministic_per_seed():
     a = tq.cooperation_rate(tq.PublicGoods(3, 0.5), dist, samples=5000, seed=42)
     b = tq.cooperation_rate(tq.PublicGoods(3, 0.5), dist, samples=5000, seed=42)
     assert a == b
+
+
+_prisoners = st.builds(
+    lambda cost, gain: tq.PrisonersDilemma(cost + gain, cost),
+    st.floats(0.1, 10.0), st.floats(0.01, 10.0),
+)
+_public_goods = st.integers(2, 8).flatmap(
+    lambda n: st.builds(lambda rho: tq.PublicGoods(n, rho), st.floats(1.0 / n, 1.0, exclude_min=True, exclude_max=True))
+)
+_dispositions = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+_sample_counts = st.one_of(
+    st.sampled_from((1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 50_000)),
+    st.integers(1, 3 * _BLOCK),
+)
+
+
+def _rates_match_the_whole_array_reference(spec, dist, samples, seed, eps):
+    token = tq.set_epsnum(eps)
+    try:
+        blocked = tq.cooperation_rate(spec, dist, samples, seed)
+        reference = reference_cooperation_rate(spec, dist, samples, seed)
+    finally:
+        reset_epsnum(token)
+    assert repr(blocked) == repr(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_prisoners, _travelers, _public_goods, _bertrand),
+    _dispositions,
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    _sample_counts,
+    st.integers(0, 2**32),
+    st.sampled_from((tq.DEFAULT_EPSNUM, 1e-3)),
+)
+def test_blocked_rates_match_the_whole_array_sampler(spec, q, beta_point, samples, seed, eps):
+    dist = tq.RelativeTypeDistribution(q=q, beta_point=beta_point)
+    _rates_match_the_whole_array_reference(spec, dist, samples, seed, eps)
+
+
+def test_pinned_belief_dispositions_follow_the_tolerances():
+    # with a pinned belief no belief is drawn, so the dispositions start at
+    # offset n, not 2n
+    dist = tq.RelativeTypeDistribution(q=0.7, beta_point=0.6)
+    _rates_match_the_whole_array_reference(tq.TravelersDilemma(2, 100, 2), dist, 2 * _BLOCK + 3, 5, tq.DEFAULT_EPSNUM)
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    spec, dist = tq.TravelersDilemma(2, 100, 2), tq.RelativeTypeDistribution(q=0.7)
+    tq.cooperation_rate(spec, dist, 1_000_000, 3)  # warm-up: caches and lazy imports
+    tracemalloc.start()
+    try:
+        tq.cooperation_rate(spec, dist, 1_000_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_large_n_bertrand_limit():

@@ -5,13 +5,15 @@ utilities are plain loops over pure profiles, feasibility goes through an
 integer max-flow, the first failed threshold inequality is found by plain
 loops over atoms and strategies, the Bertrand share factor is enumerated
 outcome by outcome, fixed-point roots come from a grid scan with plain
-bisection, and discrete fixed points from the numpy solver that the
-plain-float one replaced.
+bisection, discrete fixed points from the numpy solver that the plain-float
+one replaced, and Monte Carlo cooperation rates from the whole-array sampler
+that the blocked one replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -192,6 +194,30 @@ def reference_solve_discrete(p, pi):
         if not deduped or s - deduped[-1] > e:
             deduped.append(min(max(s, 0.0), 1.0))
     return deduped
+
+
+def reference_sample(dist, rng, n):
+    """``RelativeTypeDistribution.sample``, which drew whole arrays, kept
+    verbatim for ``reference_cooperation_rate``."""
+    t_rel = rng.random(n)
+    beta = np.full(n, dist.beta_point) if dist.beta_point is not None else rng.random(n)
+    is_c = rng.random(n) < dist.q
+    return t_rel, beta, is_c
+
+
+def reference_cooperation_rate(spec, dist, samples, seed):
+    """The whole-array cooperation_rate that the blocked one replaced, kept
+    verbatim as the reference it must match bit for bit."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    t_rel, beta, is_c = reference_sample(dist, rng, samples)
+    thresholds = tq.cooperation_threshold(spec, np.asarray(beta, dtype=float))
+    scale = tq.all_cooperate_payoff(spec)
+    cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - epsnum())
+    rate = float(cooperates.mean())
+    stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
+    return tq.CooperationRate(rate, stderr, tq.exact_cooperation_rate(spec, dist))
 
 
 def bertrand_f_enum(n, beta):
