@@ -22,11 +22,17 @@ never hands a type a strategy above its tolerance, and moves no strategy's
 mass by more than the largest shortfall that the eps slack of the tail
 comparisons leaves: at most eps, unless entries at or below eps take their
 share of the type mass above a threshold.
+
+Both steps run on plain Python floats: a player has 2 to 99 strategies and a
+few atoms, where a numpy call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -73,18 +79,20 @@ def _check_pi(game: Game, pi: DiscreteToleranceProfile) -> None:
 
 
 def _player_check(
-    sigma: np.ndarray, regret_vec: np.ndarray, dist: DiscreteToleranceDist, player: int
+    sigma: tuple[float, ...], regret_vec: list[float], dist: DiscreteToleranceDist, player: int
 ) -> TypeStrategyMap | Violation:
     """Witness for one player, or the first threshold the player fails."""
     eps = epsnum()
-    supported = sigma > eps
-    stranded = supported & (regret_vec > dist.max_tolerance + eps)
-    if stranded.any():
-        worst = int(np.argmax(stranded))
+    k = len(sigma)
+    supported = list(compress(range(k), map(operator.gt, sigma, repeat(eps))))
+    top = dist.max_tolerance + eps
+    stranded = [s for s in supported if regret_vec[s] > top]
+    if stranded:
+        worst = stranded[0]
         return Violation(
             player=player,
             threshold=dist.max_tolerance,
-            excess_mass=float(sigma[stranded].sum()),
+            excess_mass=sum(sigma[s] for s in stranded),
             detail=(
                 f"strategy {worst} carries probability {sigma[worst]:.6g} "
                 f"but its regret {regret_vec[worst]:.6g} exceeds every "
@@ -92,41 +100,47 @@ def _player_check(
             ),
         )
 
-    order = np.argsort(regret_vec, kind="stable")
-    supported_cum = np.zeros(len(sigma) + 1)
-    np.cumsum(np.where(supported, sigma, 0.0)[order], out=supported_cum[1:])
-    type_cum = np.cumsum((0.0, *dist.probs))
-    tolerances = np.asarray(dist.support) + eps
-    ranked = regret_vec[order]
+    order = sorted(range(k), key=regret_vec.__getitem__)
+    ranked = sorted(regret_vec)
+    mass = [0.0] * k
+    for s in supported:
+        mass[s] = sigma[s]
+    supported_cum = list(accumulate(map(mass.__getitem__, order), initial=0.0))
+    type_cum = list(accumulate(dist.probs, initial=0.0))
+    type_total, supported_total = type_cum[-1], supported_cum[-1]
     # The supported mass with regret above support[j] + eps must fit inside
     # the type mass above support[j], plus eps.  With both tails written as
     # total less cumulative mass, that is one comparison of cumulative masses
     # whose slack includes the mass no entry above eps carries.
-    kept = supported_cum[np.searchsorted(ranked, tolerances, side="right")]
-    slack = type_cum[-1] - supported_cum[-1]
-    failed = np.flatnonzero(type_cum[1:] > kept + slack + eps)
-    if failed.size:
-        j = int(failed[0])
-        t = dist.support[j]
-        demand, room = supported_cum[-1] - kept[j], type_cum[-1] - type_cum[j + 1]
-        return Violation(
-            player=player,
-            threshold=t,
-            excess_mass=float(demand - room),
-            detail=(
-                f"strategies with regret above {t:.6g} carry mass {demand:.6g} but only "
-                f"{room:.6g} of the type mass has a higher tolerance"
-            ),
-        )
+    slack = type_total - supported_total
+    for j, t in enumerate(dist.support):
+        kept = supported_cum[bisect_right(ranked, t + eps)]
+        if type_cum[j + 1] > kept + slack + eps:
+            demand, room = supported_total - kept, type_total - type_cum[j + 1]
+            return Violation(
+                player=player,
+                threshold=t,
+                excess_mass=demand - room,
+                detail=(
+                    f"strategies with regret above {t:.6g} carry mass {demand:.6g} but only "
+                    f"{room:.6g} of the type mass has a higher tolerance"
+                ),
+            )
 
     # Column 0 of the coupling, order[0], is a best response, so every type
     # may take from at least one column.
-    unsupported = np.where(supported, 0.0, np.maximum(sigma, 0.0))
-    rest = 1.0 - unsupported.sum()
-    shares = np.empty((len(tolerances), len(sigma)))
-    shares[:, order] = _quantile_coupling(dist.support, type_cum * (rest / type_cum[-1]), ranked, supported_cum)
-    alloc = unsupported + shares * (rest / shares.sum(axis=1))[:, None]
-    return TypeStrategyMap(dist.support, tuple(MixedStrategy(tuple(row)) for row in alloc.tolist()))
+    unsupported = [p if 0.0 < p <= eps else 0.0 for p in sigma]
+    rest = 1.0 - sum(unsupported)
+    scale = rest / type_total
+    coupling = _quantile_coupling(dist.support, [c * scale for c in type_cum], ranked, supported_cum)
+    strategies = []
+    for row in coupling:
+        share = rest / sum(row)
+        alloc = unsupported.copy()
+        for s, w in compress(zip(order, row), row):
+            alloc[s] += w * share
+        strategies.append(MixedStrategy(tuple(alloc)))
+    return TypeStrategyMap(dist.support, tuple(strategies))
 
 
 def verify_tolerant_equilibrium(
@@ -136,8 +150,8 @@ def verify_tolerant_equilibrium(
     _check_pi(game, pi)
     witnesses = []
     for player in range(game.num_players):
-        sigma = np.asarray(profile[player].probs)
-        outcome = _player_check(sigma, regrets(game, profile, player), pi[player], player)
+        regret_vec = regrets(game, profile, player).tolist()
+        outcome = _player_check(profile[player].probs, regret_vec, pi[player], player)
         if isinstance(outcome, Violation):
             return EquilibriumVerdict(False, None, outcome)
         witnesses.append(outcome)

@@ -87,14 +87,15 @@ class MixedStrategy:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         eps = epsnum()
         if not probs:
             raise ValueError("mixed strategy needs at least one entry")
-        if not all(-eps <= p <= 1 + eps for p in probs):
+        if not (-eps <= min(probs) and max(probs) <= 1 + eps):
             raise ValueError(f"probabilities must lie in [0, 1], got {probs}")
         total = sum(probs)
-        if abs(total - 1.0) > eps:
+        # min and max skip a NaN after the first entry; the sum does not
+        if not abs(total - 1.0) <= eps:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         object.__setattr__(self, "probs", probs)
 

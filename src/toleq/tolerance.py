@@ -12,7 +12,12 @@ belonged to a higher type.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -22,9 +27,10 @@ from .numeric import epsnum
 
 def _check_support(support: tuple[float, ...]) -> None:
     """Tolerance atoms must be finite, non-negative and strictly increasing."""
-    if not all(0.0 <= t < math.inf for t in support):
+    # min skips a NaN after the first entry; isfinite does not
+    if not (all(map(math.isfinite, support)) and min(support) >= 0.0):
         raise ValueError(f"tolerances must be finite and non-negative, got {support}")
-    if any(b <= a for a, b in zip(support, support[1:])):
+    if not all(map(operator.lt, support, support[1:])):
         raise ValueError("support must be strictly increasing")
 
 
@@ -36,16 +42,18 @@ class DiscreteToleranceDist:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        support = tuple(float(t) for t in self.support)
-        probs = tuple(float(p) for p in self.probs)
+        support = tuple(map(float, self.support))
+        probs = tuple(map(float, self.probs))
         eps = epsnum()
         if len(support) != len(probs) or not support:
             raise ValueError("support and probs must be non-empty and aligned")
         _check_support(support)
-        if not all(0.0 < p <= 1 + eps for p in probs):
+        if not (0.0 < min(probs) and max(probs) <= 1 + eps):
             raise ValueError(f"atom masses must lie in (0, 1], got {probs}")
-        if abs(sum(probs) - 1.0) > eps:
-            raise ValueError(f"atom masses must sum to 1, got {sum(probs)}")
+        total = sum(probs)
+        # min and max skip a NaN after the first entry; the sum does not
+        if not abs(total - 1.0) <= eps:
+            raise ValueError(f"atom masses must sum to 1, got {total}")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
@@ -86,10 +94,23 @@ class DiscreteToleranceProfile:
 
 
 def dist_dominates(hi: DiscreteToleranceDist, lo: DiscreteToleranceDist) -> bool:
-    """Whether hi's CDF lies pointwise at or below lo's (mass shifted right)."""
+    """Whether hi's CDF lies pointwise at or below lo's (mass shifted right).
+
+    One walk over both supports keeps each CDF as the running sum that
+    ``cdf`` would add.  Only hi's atoms are compared: between them hi's CDF
+    stays put while lo's can only grow.
+    """
     eps = epsnum()
-    points = sorted(set(hi.support) | set(lo.support))
-    return all(hi.cdf(t) <= lo.cdf(t) + eps for t in points)
+    hi_cdf = lo_cdf = 0.0
+    h = 0
+    for t, p in zip(hi.support, hi.probs):
+        while h < len(lo.support) and lo.support[h] <= t:
+            lo_cdf += lo.probs[h]
+            h += 1
+        hi_cdf += p
+        if hi_cdf > lo_cdf + eps:
+            return False
+    return True
 
 
 def stochastically_dominates(hi: DiscreteToleranceProfile, lo: DiscreteToleranceProfile) -> bool:
@@ -107,7 +128,7 @@ class TypeStrategyMap:
     strategies: tuple[MixedStrategy, ...]
 
     def __post_init__(self) -> None:
-        support = tuple(float(t) for t in self.support)
+        support = tuple(map(float, self.support))
         strategies = tuple(self.strategies)
         if len(support) != len(strategies) or not support:
             raise ValueError("support and strategies must be non-empty and aligned")
@@ -144,30 +165,61 @@ class TransportPlan:
     beta: tuple[float, ...]
 
 
-def _quantile_coupling(row_pos, row_cum, col_pos, col_cum) -> np.ndarray:
+def _quantile_coupling(
+    row_pos: Sequence[float], row_cum: Sequence[float], col_pos: Sequence[float], col_cum: Sequence[float]
+) -> list[list[float]]:
     """North-west-corner coupling of two distributions on sorted positions.
 
-    Entry [j, h] is the overlap of [row_cum[j], row_cum[j+1]] and [B[h],
+    Entry [j][h] is the overlap of [row_cum[j], row_cum[j+1]] and [B[h],
     B[h+1]].  A row may take only from columns at most eps above it, so B,
     the one rule for atoms lighter than eps, is col_cum with each boundary
     moved right, up to the column total, by the largest shortfall so far of
     the rows that may not pass it: at most eps under dominance within eps.
     A row left without mass, past the column total or too light to widen the
     cumulative sum, takes its mass or the smallest normal float from column 0.
+
+    Both cumulative sequences are non-decreasing, so the overlaps that are
+    not zero form a staircase, and one walk down the rows that keeps its
+    place among the columns finds them all.
     """
-    reach = np.searchsorted(col_pos, np.add(row_pos, epsnum()), side="right")
+    eps = epsnum()
+    cols = len(col_pos)
+    reach = [bisect_right(col_pos, t + eps) for t in row_pos]
+    # how far each row ends past the columns it may use
+    debt = [end - col_cum[r] for end, r in zip(row_cum[1:], reach)]
     bounds = col_cum
-    debt = row_cum[1:] - col_cum[reach]  # how far each row ends past the columns it may use
-    if debt.max() > 0.0:
-        shift = np.maximum.accumulate(np.concatenate(((0.0,), debt)))
-        shift = shift[np.searchsorted(reach, np.arange(1, len(col_pos) + 1), side="right")]
-        bounds = np.concatenate((col_cum[:1], np.minimum(col_cum[1:] + shift, col_cum[-1])))
-    weights = np.minimum.outer(row_cum[1:], bounds[1:]) - np.maximum.outer(row_cum[:-1], bounds[:-1])
-    weights = np.maximum(weights, 0.0)
-    fed = weights.any(axis=1)
-    if not fed.all():
-        weights[~fed, 0] = np.maximum(np.diff(row_cum)[~fed], np.finfo(float).tiny)
-    return weights
+    if max(debt) > 0.0:
+        # shift[h] is the largest debt of the rows that may not pass
+        # boundary h: those that reach at most h columns
+        shift = [0.0] * (cols + 1)
+        worst = 0.0
+        for r, d in zip(reach, debt):
+            worst = max(worst, d)
+            shift[r:] = [worst] * (cols + 1 - r)
+        # the moved boundaries never fall, so those past the total form a suffix
+        bounds = list(map(operator.add, col_cum, shift))
+        cut = bisect_left(bounds, col_cum[-1])
+        bounds[cut:] = [col_cum[-1]] * (cols + 1 - cut)
+        bounds[0] = col_cum[0]
+    # only a column of positive width can overlap a row
+    wide = list(compress(range(cols), map(operator.lt, bounds, islice(bounds, 1, None))))
+    rows = []
+    first = 0  # the first wide column that ends after the current row starts
+    for start, end in zip(row_cum, row_cum[1:]):
+        while first < len(wide) and bounds[wide[first] + 1] <= start:
+            first += 1
+        row = [0.0] * cols
+        for h in islice(wide, first, None):
+            lo, hi = bounds[h], bounds[h + 1]
+            if lo >= end:
+                break
+            overlap = (end if end < hi else hi) - (start if start > lo else lo)
+            if overlap > 0.0:
+                row[h] = overlap
+        if not any(row):
+            row[0] = max(end - start, sys.float_info.min)
+        rows.append(row)
+    return rows
 
 
 def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDist) -> TransportPlan:
@@ -178,14 +230,19 @@ def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDis
     """
     if not dist_dominates(hi_dist, lo_dist):
         raise ValueError("target distribution does not stochastically dominate the source")
-    hi_cum, lo_cum = np.cumsum((0.0, *hi_dist.probs)), np.cumsum((0.0, *lo_dist.probs))
-    weights = _quantile_coupling(hi_dist.support, hi_cum, lo_dist.support, lo_cum)
-    alpha = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
-    if np.any(np.asarray(lo_dist.support)[alpha] > np.asarray(hi_dist.support) + epsnum()):
-        raise ValueError("transport would give a type a strategy of a higher type; no exact remap exists")
-    beta = weights[np.arange(len(alpha)), alpha]
+    hi_cum = list(accumulate(hi_dist.probs, initial=0.0))
+    lo_cum = list(accumulate(lo_dist.probs, initial=0.0))
+    rows = _quantile_coupling(hi_dist.support, hi_cum, lo_dist.support, lo_cum)
+    eps = epsnum()
+    alpha = []
+    for row, t in zip(rows, hi_dist.support):
+        last = max(h for h, w in enumerate(row) if w > 0.0)
+        if lo_dist.support[last] > t + eps:
+            raise ValueError("transport would give a type a strategy of a higher type; no exact remap exists")
+        alpha.append(last)
+    weights = np.array(rows)
     weights.setflags(write=False)
-    return TransportPlan(weights, tuple(alpha.tolist()), tuple(beta.tolist()))
+    return TransportPlan(weights, tuple(alpha), tuple(row[h] for row, h in zip(rows, alpha)))
 
 
 def dominance_remap(

@@ -115,6 +115,15 @@ def test_non_finite_probabilities_rejected():
             tq.MixedStrategy(probs)
 
 
+@pytest.mark.parametrize("position", range(3))
+def test_nan_at_any_position_rejected(position):
+    # min and max pass over a NaN after the first entry; the sum does not
+    probs = [0.5, 0.5]
+    probs.insert(position, float("nan"))
+    with pytest.raises(ValueError):
+        tq.MixedStrategy(tuple(probs))
+
+
 def test_payoff_tensor_shape_checked():
     with pytest.raises(ValueError):
         tq.Game((("a", "b"),), np.zeros((2, 2)))

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import toleq as tq
 from toleq.numeric import reset_epsnum
-from toleq_oracles import dominating_dist, random_map, with_light_atoms
+from toleq_oracles import (
+    dominating_dist,
+    random_map,
+    reference_dist_dominates,
+    reference_quantile_coupling,
+    with_light_atoms,
+)
 
 
 def dist(*pairs):
@@ -329,3 +335,80 @@ def test_cdf_families_are_proper_cdfs(seed):
         moved = cdf.shifted(delta)
         probe = float(rng.uniform(0, 10))
         assert moved(probe + delta) == pytest.approx(cdf(probe), abs=1e-12)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_nan_at_any_position_of_a_distribution_is_rejected(position):
+    # min and max pass over a NaN after the first entry
+    nan = float("nan")
+    support, probs = [0.0, 1.0], [0.5, 0.5]
+    support.insert(position, nan)
+    with pytest.raises(ValueError):
+        tq.DiscreteToleranceDist(tuple(support), (0.25, 0.25, 0.5))
+    probs.insert(position, nan)
+    with pytest.raises(ValueError):
+        tq.DiscreteToleranceDist((0.0, 1.0, 2.0), tuple(probs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([tq.DEFAULT_EPSNUM, 1 / 64, 1 / 16]))
+def test_dominance_walk_matches_pairwise_cdf(seed, eps):
+    # masses in multiples of 1/64 and eps or eps + 1/64 of one atom moved left
+    # make the CDF gap equal eps exactly, so ties are decided by the same sums
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 6))
+    atoms = np.sort(rng.choice(np.arange(1, 9) * 0.5, n_atoms, replace=False))
+    if rng.random() < 0.7:
+        cuts = np.sort(rng.choice(np.arange(1, 64), n_atoms - 1, replace=False))
+        masses = np.diff(cuts, prepend=0, append=64) / 64
+    else:
+        masses = rng.dirichlet(np.ones(n_atoms))
+    lo = tq.DiscreteToleranceDist(tuple(atoms.tolist()), tuple(masses.tolist()))
+    if rng.random() < 0.5:
+        i = int(np.argmax(masses))
+        moved = eps + float(rng.choice([0.0, 1 / 64]))
+        placed = dict(zip(lo.support, lo.probs))
+        placed[lo.support[i]] -= moved
+        placed[lo.support[i] - 0.25] = moved
+        hi = tq.DiscreteToleranceDist(tuple(sorted(placed)), tuple(placed[t] for t in sorted(placed)))
+    else:
+        steps = rng.choice(np.arange(1, 9) * 0.5, int(rng.integers(1, 6)), replace=False)
+        hi = tq.DiscreteToleranceDist(tuple(np.sort(steps).tolist()), tuple(rng.dirichlet(np.ones(len(steps))).tolist()))
+    token = tq.set_epsnum(eps)
+    try:
+        assert tq.dist_dominates(hi, lo) == reference_dist_dominates(hi, lo)
+        assert tq.dist_dominates(lo, hi) == reference_dist_dominates(lo, hi)
+    finally:
+        reset_epsnum(token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([tq.DEFAULT_EPSNUM, 1e-3]))
+def test_transport_plan_matches_numpy_coupling(seed, eps):
+    # the plain-float coupling makes the same overlaps as the numpy one, bit
+    # for bit, including light atoms that need their columns moved and light
+    # atoms below every source type, which must raise
+    token = tq.set_epsnum(eps)
+    try:
+        rng = np.random.default_rng(seed)
+        steps = rng.uniform(0.1, 2.0, int(rng.integers(1, 7)))
+        lo = tq.DiscreteToleranceDist(tuple(np.cumsum(steps) - steps[0] * rng.integers(0, 2)),
+                                      tuple(rng.dirichlet(np.ones(len(steps)))))
+        hi = lo if rng.random() < 0.3 else dominating_dist(rng, lo)
+        if rng.random() < 0.6:
+            hi = with_light_atoms(rng, hi, floor=lo.support[0] * rng.integers(0, 2))
+        want = reference_quantile_coupling(
+            hi.support, np.cumsum((0.0, *hi.probs)), lo.support, np.cumsum((0.0, *lo.probs))
+        )
+        last = want.shape[1] - 1 - np.argmax(want[:, ::-1] > 0.0, axis=1)
+        if np.any(np.asarray(lo.support)[last] > np.asarray(hi.support) + eps):
+            with pytest.raises(ValueError, match="no exact remap exists"):
+                tq.transport_plan(lo, hi)
+            return
+        plan = tq.transport_plan(lo, hi)
+        assert np.array_equal(plan.weights, want)
+        assert not plan.weights.flags.writeable
+        assert plan.alpha == tuple(last.tolist())
+        assert plan.beta == tuple(want[np.arange(len(last)), last].tolist())
+    finally:
+        reset_epsnum(token)

@@ -5,9 +5,10 @@ utilities are plain loops over pure profiles, feasibility goes through an
 integer max-flow, the first failed threshold inequality is found by plain
 loops over atoms and strategies, the Bertrand share factor is enumerated
 outcome by outcome, fixed-point roots come from a grid scan with plain
-bisection, discrete fixed points from the numpy solver that the plain-float
-one replaced, and Monte Carlo cooperation rates from the whole-array sampler
-that the blocked one replaced.
+bisection, discrete fixed points, the per-player verifier check and the
+quantile coupling from the numpy code that the plain-float code replaced,
+dominance from one ``cdf`` call per atom, and Monte Carlo cooperation rates
+from the whole-array sampler that the blocked one replaced.
 """
 
 from __future__ import annotations
@@ -196,6 +197,92 @@ def reference_solve_discrete(p, pi):
     return deduped
 
 
+def reference_quantile_coupling(row_pos, row_cum, col_pos, col_cum):
+    """The numpy ``tolerance._quantile_coupling`` that the plain-float one
+    replaced, kept verbatim as the reference it must match.
+
+    Entry [j, h] is the overlap of [row_cum[j], row_cum[j+1]] and [B[h],
+    B[h+1]].  A row may take only from columns at most eps above it, so B,
+    the one rule for atoms lighter than eps, is col_cum with each boundary
+    moved right, up to the column total, by the largest shortfall so far of
+    the rows that may not pass it: at most eps under dominance within eps.
+    A row left without mass, past the column total or too light to widen the
+    cumulative sum, takes its mass or the smallest normal float from column 0.
+    """
+    reach = np.searchsorted(col_pos, np.add(row_pos, epsnum()), side="right")
+    bounds = col_cum
+    debt = row_cum[1:] - col_cum[reach]  # how far each row ends past the columns it may use
+    if debt.max() > 0.0:
+        shift = np.maximum.accumulate(np.concatenate(((0.0,), debt)))
+        shift = shift[np.searchsorted(reach, np.arange(1, len(col_pos) + 1), side="right")]
+        bounds = np.concatenate((col_cum[:1], np.minimum(col_cum[1:] + shift, col_cum[-1])))
+    weights = np.minimum.outer(row_cum[1:], bounds[1:]) - np.maximum.outer(row_cum[:-1], bounds[:-1])
+    weights = np.maximum(weights, 0.0)
+    fed = weights.any(axis=1)
+    if not fed.all():
+        weights[~fed, 0] = np.maximum(np.diff(row_cum)[~fed], np.finfo(float).tiny)
+    return weights
+
+
+def reference_player_check(sigma, regret_vec, dist, player):
+    """The numpy ``equilibrium._player_check`` that the plain-float one
+    replaced, kept verbatim (on numpy arrays sigma and regret_vec) as the
+    reference it must match."""
+    eps = epsnum()
+    supported = sigma > eps
+    stranded = supported & (regret_vec > dist.max_tolerance + eps)
+    if stranded.any():
+        worst = int(np.argmax(stranded))
+        return tq.Violation(
+            player=player,
+            threshold=dist.max_tolerance,
+            excess_mass=float(sigma[stranded].sum()),
+            detail=(
+                f"strategy {worst} carries probability {sigma[worst]:.6g} "
+                f"but its regret {regret_vec[worst]:.6g} exceeds every "
+                "tolerance type"
+            ),
+        )
+
+    order = np.argsort(regret_vec, kind="stable")
+    supported_cum = np.zeros(len(sigma) + 1)
+    np.cumsum(np.where(supported, sigma, 0.0)[order], out=supported_cum[1:])
+    type_cum = np.cumsum((0.0, *dist.probs))
+    tolerances = np.asarray(dist.support) + eps
+    ranked = regret_vec[order]
+    kept = supported_cum[np.searchsorted(ranked, tolerances, side="right")]
+    slack = type_cum[-1] - supported_cum[-1]
+    failed = np.flatnonzero(type_cum[1:] > kept + slack + eps)
+    if failed.size:
+        j = int(failed[0])
+        t = dist.support[j]
+        demand, room = supported_cum[-1] - kept[j], type_cum[-1] - type_cum[j + 1]
+        return tq.Violation(
+            player=player,
+            threshold=t,
+            excess_mass=float(demand - room),
+            detail=(
+                f"strategies with regret above {t:.6g} carry mass {demand:.6g} but only "
+                f"{room:.6g} of the type mass has a higher tolerance"
+            ),
+        )
+
+    unsupported = np.where(supported, 0.0, np.maximum(sigma, 0.0))
+    rest = 1.0 - unsupported.sum()
+    shares = np.empty((len(tolerances), len(sigma)))
+    shares[:, order] = reference_quantile_coupling(dist.support, type_cum * (rest / type_cum[-1]), ranked, supported_cum)
+    alloc = unsupported + shares * (rest / shares.sum(axis=1))[:, None]
+    return tq.TypeStrategyMap(dist.support, tuple(tq.MixedStrategy(tuple(row)) for row in alloc.tolist()))
+
+
+def reference_dist_dominates(hi, lo):
+    """The pairwise-cdf ``dist_dominates`` that the merge walk replaced: hi's
+    CDF at or below lo's, plus eps, at every atom of either support."""
+    eps = epsnum()
+    points = sorted(set(hi.support) | set(lo.support))
+    return all(hi.cdf(t) <= lo.cdf(t) + eps for t in points)
+
+
 def reference_sample(dist, rng, n):
     """``RelativeTypeDistribution.sample``, which drew whole arrays, kept
     verbatim for ``reference_cooperation_rate``."""
@@ -357,3 +444,57 @@ def random_map(rng, dist, n_strategies):
         weights = rng.dirichlet(np.ones(n_strategies))
         strategies.append(tq.MixedStrategy(tuple(float(w) for w in weights / weights.sum())))
     return tq.TypeStrategyMap(dist.support, tuple(strategies))
+
+
+def verifier_instance(rng):
+    """Game, profile and tolerance profile that reach every branch of the
+    per-player check.
+
+    Two players with 1 to 99 strategies or three with 1 to 5, on payoffs in
+    -3..3 so that regrets tie.  Each profile has one to six supported entries
+    and up to three more at or below eps, some negative.  Half the tolerance
+    profiles put one atom on each regret of the supported entries, sometimes
+    shifted, so they usually verify; the rest are random.  Some get types
+    lighter than eps, and some a top type whose mass rounds away in the
+    cumulative sum, which the coupling leaves unfed.
+    """
+    n_players = int(rng.integers(2, 4))
+    most = 99 if n_players == 2 else 5
+    counts = tuple(int(rng.integers(1, most + 1)) for _ in range(n_players))
+    payoffs = rng.integers(-3, 4, size=counts + (n_players,)).astype(float)
+    game = tq.Game(tuple(tuple(f"s{i}" for i in range(k)) for k in counts), payoffs)
+    strategies = []
+    for k in counts:
+        probs = np.zeros(k)
+        chosen = rng.choice(k, size=int(rng.integers(1, min(k, 6) + 1)), replace=False)
+        probs[chosen] = rng.dirichlet(np.ones(len(chosen)))
+        free = np.setdiff1d(np.arange(k), chosen)
+        for s in rng.choice(free, size=min(len(free), int(rng.integers(0, 4))), replace=False):
+            probs[s] = rng.choice([-0.3e-9, 0.3e-9, 0.9e-9, 1e-9])
+        probs[int(np.argmax(probs))] += 1.0 - probs.sum()
+        strategies.append(tq.MixedStrategy(tuple(probs.tolist())))
+    profile = tq.MixedProfile(tuple(strategies))
+    dists = []
+    for player in range(n_players):
+        if rng.random() < 0.5:
+            # a shift of -eps puts regrets exactly at or just past t + eps
+            regret_vec = tq.regrets(game, profile, player)
+            shift = float(rng.choice([0.0, -1e-9, 0.5e-9, 0.25]))
+            placed: dict[float, float] = {}
+            for s, p in enumerate(profile[player].probs):
+                if p > 1e-9:
+                    spot = max(float(regret_vec[s]) + shift, 0.0)
+                    placed[spot] = placed.get(spot, 0.0) + p
+            atoms = sorted(placed)
+            masses = np.array([placed[t] for t in atoms])
+            dist = tq.DiscreteToleranceDist(tuple(atoms), tuple(masses / masses.sum()))
+        else:
+            n_atoms = int(rng.integers(1, 6))
+            atoms = np.cumsum(rng.choice([0.5, 1.0, 2.0], n_atoms)) - 0.5 * rng.integers(0, 2)
+            dist = tq.DiscreteToleranceDist(tuple(atoms.tolist()), tuple(rng.dirichlet(np.ones(n_atoms)).tolist()))
+        if rng.random() < 0.3:
+            dist = with_light_atoms(rng, dist)
+        if rng.random() < 0.15:
+            dist = tq.DiscreteToleranceDist((*dist.support, dist.support[-1] + 1.0), (*dist.probs, 1e-17))
+        dists.append(dist)
+    return game, profile, tq.DiscreteToleranceProfile(tuple(dists))
