@@ -14,10 +14,14 @@ Monte Carlo.  The Monte Carlo rate reads its n tolerances, beliefs and
 dispositions in fixed-size blocks from the seed's PCG64 stream at offsets
 0, n and 2n (0 and n for a pinned belief, which draws no beliefs): the rate
 is identical to drawing the whole arrays, and memory does not grow with n.
-An exact rate under a uniform belief integrates a piecewise polynomial: the
-pieces end at real roots of explicit polynomials, and Gauss-Legendre with
-enough nodes for each piece's degree integrates every piece without error
-beyond rounding.
+Every polynomial is a list of plain-float power-basis coefficients, evaluated
+by one Horner loop in ``numpy.polynomial.polynomial.polyval``'s operation
+order, on a float or in place on an array, so the thresholds match polyval's
+bit for bit.  An exact rate under a uniform belief integrates a piecewise
+polynomial: each of the five polynomials whose roots end the pieces has at
+most two coefficient sign changes, so its roots in (0, 1) are bracketed
+between its derivative's, and each piece is integrated through the
+antiderivative of its branch, all in time linear in the degree.
 
 Each spec class is described once, by its fields: a field's annotation
 (``int`` or ``float``) says how it is parsed and checked, and its metadata
@@ -30,15 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
-from numpy.polynomial import legendre
-from numpy.polynomial import polynomial as poly
 
 from .games import Game, MixedProfile, MixedStrategy
-from .numeric import epsnum
+from .numeric import _bracketed_root, epsnum
 
 
 def _param(key: str, flag: str):
@@ -129,6 +132,8 @@ _DILEMMAS = {
 @functools.lru_cache(maxsize=64)
 def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], exact for degree 2m - 1."""
+    from numpy.polynomial import legendre  # only built Bertrand games need it
+
     nodes, weights = legendre.leggauss(m)
     nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
     nodes.setflags(write=False)
@@ -277,6 +282,24 @@ def _beliefs(beta) -> np.ndarray:
     return arr
 
 
+def _horner(coefs: list[float], x, out: np.ndarray | None = None):
+    """The polynomial with power-basis coefficients ``coefs`` at x, in
+    ``polyval``'s operation order: start from the top coefficient, then
+    multiply by x and add the next one.  x is a float, or an array evaluated
+    into ``out``, which must not be x.
+    """
+    if out is None:
+        total = coefs[-1]
+        for c in reversed(coefs[:-1]):
+            total = total * x + c
+        return total
+    out.fill(coefs[-1])
+    for c in reversed(coefs[:-1]):
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
 def bertrand_f(n: int, beta):
     """Expected share factor when pricing at the floor against n-1 rivals who
     each price high with probability beta:
@@ -288,8 +311,8 @@ def bertrand_f(n: int, beta):
     if n < 2:
         raise ValueError("need at least two firms")
     arr = _beliefs(beta)
-    total = poly.polyval(arr, np.full(n, 1.0 / n))
-    return float(total) if arr.ndim == 0 else total
+    coefs = [1.0 / n] * n
+    return _horner(coefs, float(arr)) if arr.ndim == 0 else _horner(coefs, arr, np.empty(arr.shape))
 
 
 def all_cooperate_payoff(spec: DilemmaSpec) -> float:
@@ -326,9 +349,17 @@ def cooperation_threshold(spec: DilemmaSpec, beta=None):
             raise ValueError("the Bertrand threshold depends on the belief beta")
         return 2.0 * spec.bonus - 1.0
     betas = _beliefs(beta)
-    undercut, floor_value = _threshold_branches(spec)
-    out = np.maximum(poly.polyval(betas, undercut), poly.polyval(betas, floor_value))
-    return float(out) if out.ndim == 0 else out
+    branches = _threshold_branches(spec)
+    if betas.ndim == 0:
+        return max(_horner(branch, float(betas)) for branch in branches)
+    return _thresholds(branches, betas, np.empty(betas.shape), np.empty(betas.shape))
+
+
+def _thresholds(branches, betas: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The threshold at an array of beliefs, written into ``out``; ``scratch``
+    holds the second branch."""
+    undercut, floor_value = branches
+    return np.maximum(_horner(undercut, betas, out), _horner(floor_value, betas, scratch), out=out)
 
 
 def relative_to_absolute(spec: DilemmaSpec, t_rel: float) -> float:
@@ -381,7 +412,7 @@ class RelativeTypeDistribution:
             raise ValueError("pinned belief must lie in [0, 1]")
 
 
-def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[list[float], list[float]]:
     """Power-basis coefficients of the two polynomials in beta whose maximum
     is the cooperation threshold.
 
@@ -391,30 +422,39 @@ def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[n
     The power-basis coefficients of bertrand_f are all 1/n.
     """
     if isinstance(spec, TravelersDilemma):
-        undercut = np.array([0.0, spec.bonus - 1.0])
-        floor_value = np.array([float(spec.bonus), -float(spec.high - spec.low)])
-        return undercut, floor_value
+        return [0.0, spec.bonus - 1.0], [float(spec.bonus), -float(spec.high - spec.low)]
     n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
-    lead = np.zeros(n)
-    lead[-1] = 1.0
-    undercut = lead * (high - 1.0 - high / n)
-    floor_value = np.full(n, low / n) - lead * (high / n)
-    return undercut, floor_value
+    share = high / n
+    return [0.0] * (n - 1) + [high - 1.0 - share], [low / n] * (n - 1) + [low / n - share]
 
 
-def _kinks(polys: list[np.ndarray]) -> np.ndarray:
-    """Real roots in (0, 1) of the polynomials, sorted and without repeats.
+def _unit_roots(coefs: list[float]) -> list[float]:
+    """Roots in (0, 1) of a polynomial, ascending.
 
-    Zero coefficients are trimmed from both ends first: high-order ones lower
-    the degree, low-order ones are roots at 0, and Bertrand's undercut branch
-    is a single monomial.  A double root can come back as a complex pair
-    about sqrt(eps) apart, so roots with an imaginary part up to 1e-7 count
-    as real; a breakpoint that is not a kink only splits a polynomial piece.
+    Zero coefficients at either end are dropped: high-order ones lower the
+    degree, and low-order ones are roots at 0.  By Descartes' rule, when the
+    coefficients change sign at most once there is at most one positive
+    root, and it is simple, so (0, 1) holds it exactly when its ends differ
+    in sign.  Otherwise the derivative's roots cut (0, 1) into pieces on
+    which the polynomial is monotone, each searched the same way.  The five
+    polynomials of ``exact_cooperation_rate`` change sign at most twice, and
+    the derivative of one that changes twice changes once.
     """
-    trimmed = [np.trim_zeros(c) for c in polys]
-    roots = np.concatenate([poly.polyroots(c) for c in trimmed if len(c) > 1])
-    real = roots.real[np.abs(roots.imag) <= 1e-7]
-    return np.unique(real[(real > 0.0) & (real < 1.0)])
+    nonzero = [k for k, c in enumerate(coefs) if c != 0.0]
+    if len(nonzero) < 2:
+        return []
+    coefs = coefs[nonzero[0] : nonzero[-1] + 1]
+    signs = [c > 0.0 for c in coefs if c != 0.0]
+    cuts = [0.0, 1.0]
+    if sum(map(operator.ne, signs, signs[1:])) > 1:
+        cuts[1:1] = _unit_roots([k * c for k, c in enumerate(coefs)][1:])
+    values = [_horner(coefs, x) for x in cuts]
+    roots = [x for x, v in zip(cuts[1:-1], values[1:-1]) if v == 0.0]
+    for a, b, f_a, f_b in zip(cuts, cuts[1:], values, values[1:]):
+        if (f_a < 0.0 < f_b) or (f_b < 0.0 < f_a):
+            roots.append(_bracketed_root(functools.partial(_horner, coefs), a, b, f_a, f_b))
+    # a root within a float of 0 or 1 can round onto it
+    return sorted(r for r in roots if 0.0 < r < 1.0)
 
 
 def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) -> float:
@@ -424,29 +464,35 @@ def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) ->
     clip(1 - threshold(beta) / all_cooperate_payoff, 0, 1).  A pinned belief
     evaluates it once.  A uniform belief integrates it over [0, 1]: the
     threshold is the maximum of two polynomials in beta (linear for the
-    Traveler's Dilemma, of degree n-1 for Bertrand), so the integrand is a
-    polynomial between the real roots of A - B, A, B, A - S and B - S, where
-    A and B are the two branches and S the all-cooperate payoff.  Each piece
-    is integrated by Gauss-Legendre with deg//2 + 1 nodes, which is exact for
-    that degree.
+    Traveler's Dilemma, of degree n-1 for Bertrand), so the integrand is 0,
+    1 or 1 - P / S between the roots in (0, 1) of A - B, A, B, A - S and
+    B - S, where A and B are the two branches, P the larger and S the
+    all-cooperate payoff.  The branch values at a piece's midpoint pick its
+    regime, and 1 - P / S is integrated exactly through the antiderivative
+    of P, evaluated by Horner at the piece's ends.
     """
     scale = all_cooperate_payoff(spec)
-
-    def conditional(betas: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - cooperation_threshold(spec, betas) / scale, 0.0, 1.0)
-
-    if dist.beta_point is not None:
-        return dist.q * float(conditional(np.asarray(dist.beta_point)))
-    if isinstance(spec, (PrisonersDilemma, PublicGoods)):
-        return dist.q * float(conditional(np.asarray(0.0)))
+    if dist.beta_point is not None or isinstance(spec, (PrisonersDilemma, PublicGoods)):
+        threshold = cooperation_threshold(spec, dist.beta_point)
+        return dist.q * min(max(1.0 - threshold / scale, 0.0), 1.0)
 
     a, b = _threshold_branches(spec)
-    kinks = _kinks([poly.polysub(a, b), a, b, poly.polysub(a, [scale]), poly.polysub(b, [scale])])
-    edges = np.concatenate(([0.0], kinks, [1.0]))
-    nodes, weights = _unit_gauss((len(a) - 1) // 2 + 1)
-    width = np.diff(edges)[:, None]
-    betas = np.clip(edges[:-1, None] + width * nodes, 0.0, 1.0)
-    return dist.q * float(np.sum(width * weights * conditional(betas)))
+    kinks = set()
+    for coefs in (list(map(operator.sub, a, b)), a, b, [a[0] - scale, *a[1:]], [b[0] - scale, *b[1:]]):
+        kinks.update(_unit_roots(coefs))
+    edges = [0.0, *sorted(kinks), 1.0]
+    primitive_a, primitive_b = ([0.0, *(c / k for k, c in enumerate(p, 1))] for p in (a, b))
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        at_a, at_b = _horner(a, mid), _horner(b, mid)
+        threshold = max(at_a, at_b)
+        if threshold <= 0.0:
+            total += hi - lo
+        elif threshold < scale:
+            primitive = primitive_a if at_a >= at_b else primitive_b
+            total += hi - lo - (_horner(primitive, hi) - _horner(primitive, lo)) / scale
+    return dist.q * total
 
 
 _BLOCK = 8192  # samples per block: 64 KB float arrays, below glibc's 128 KB mmap threshold
@@ -477,7 +523,8 @@ def cooperation_rate(
     the whole arrays, and memory does not grow with ``samples``.  A pinned
     belief, the Prisoner's Dilemma and Public Goods have one threshold, and
     no belief is drawn for them; with q = 1 every disposition is C, and none
-    is drawn.
+    is drawn.  A block's thresholds are evaluated in place, bit for bit as
+    ``cooperation_threshold`` gives them.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -485,6 +532,7 @@ def cooperation_rate(
     per_sample = not pinned and isinstance(spec, (TravelersDilemma, BertrandCompetition))
     scale, eps = all_cooperate_payoff(spec), epsnum()
     limit = None if per_sample else cooperation_threshold(spec, dist.beta_point) - eps
+    branches = _threshold_branches(spec) if per_sample else None
 
     def stream(offset: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(seed).advance(offset))
@@ -492,14 +540,16 @@ def cooperation_rate(
     tolerances = stream(0)
     beliefs = stream(samples) if per_sample else None
     dispositions = stream(samples if pinned else 2 * samples) if dist.q < 1.0 else None
-    t_buf, b_buf, d_buf = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+    t_buf, b_buf, d_buf, l_buf = (np.empty(_BLOCK) for _ in range(4))
     ok_buf, c_buf = np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=bool)
     count = 0
     for start in range(0, samples, _BLOCK):
         size = min(_BLOCK, samples - start)
         t_rel = tolerances.random(out=t_buf[:size])
         if beliefs is not None:
-            limit = cooperation_threshold(spec, beliefs.random(out=b_buf[:size])) - eps
+            # the disposition buffer is free until the thresholds are done
+            limit = _thresholds(branches, beliefs.random(out=b_buf[:size]), l_buf[:size], d_buf[:size])
+            np.subtract(limit, eps, out=limit)
         ok = np.greater_equal(np.multiply(t_rel, scale, out=t_rel), limit, out=ok_buf[:size])
         if dispositions is not None:
             ok &= np.less(dispositions.random(out=d_buf[:size]), dist.q, out=c_buf[:size])

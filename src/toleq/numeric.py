@@ -1,4 +1,5 @@
-"""Numeric comparison tolerance, scoped to the current context.
+"""Numeric comparison tolerance, scoped to the current context, and the one
+bracketed root search.
 
 Every equality/inequality test in the library (probability sums, regret
 thresholds, CDF comparisons, mixture reconstruction) reads one tolerance,
@@ -7,6 +8,9 @@ thresholds, CDF comparisons, mixture reconstruction) reads one tolerance,
 root.  The tolerance lives in a ``contextvars.ContextVar``: a value set in one
 thread or task does not reach another, and ``reset_epsnum`` restores the
 value a ``set_epsnum`` call replaced.
+
+``_bracketed_root`` finds the Prisoner's Dilemma fixed points that are not on
+a linear piece and the kinks of the exact cooperation rates in ``dilemmas``.
 """
 
 from __future__ import annotations
@@ -37,3 +41,34 @@ def set_epsnum(value: float | str) -> Token:
 def reset_epsnum(token: Token) -> None:
     """Restore the tolerance that the ``set_epsnum`` call returning ``token`` replaced."""
     _epsnum.reset(token)
+
+
+def _bracketed_root(fn, a: float, b: float, f_a: float, f_b: float) -> float:
+    """Root of fn between a and b, where f_a and f_b have opposite signs.
+
+    Anderson-Bjorck regula falsi: b is the latest point and the chord through
+    (a, f_a) and (b, f_b) gives the next; when it lands on b's side, f_a is
+    scaled down so that a does not stay put.  A step that fails to halve the
+    bracket is followed by a midpoint step.  The search stops at an exact zero
+    or when a and b are adjacent floats.
+    """
+    halve = False
+    for _ in range(200):
+        lo, hi = min(a, b), max(a, b)
+        x = 0.5 * (a + b)
+        if not halve:  # the chord's zero, kept at least one float inside the bracket
+            secant = b - f_b * ((b - a) / (f_b - f_a))
+            x = min(max(secant, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < x < hi:
+            break
+        f_x = fn(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) != (f_b > 0.0):
+            a, f_a = b, f_b
+        else:
+            m = 1.0 - f_x / f_b
+            f_a *= m if m > 0.0 else 0.5
+        b, f_b = x, f_x
+        halve = not halve and abs(b - a) > 0.5 * (hi - lo)
+    return 0.5 * (a + b)

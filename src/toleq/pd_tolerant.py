@@ -47,7 +47,7 @@ from itertools import accumulate
 import numpy as np
 
 from .games import Game
-from .numeric import epsnum
+from .numeric import _bracketed_root, epsnum
 from .tolerance import (
     ContinuousCdf,
     DiscreteToleranceDist,
@@ -252,37 +252,6 @@ def _with_critical_points(p1, p2, cdf1, cdf2, respond2, points: np.ndarray) -> n
         if d_a * d_b < 0:
             critical.append(_bracketed_root(dphi, a, b, d_a, d_b))
     return np.union1d(points, critical)
-
-
-def _bracketed_root(fn, a: float, b: float, f_a: float, f_b: float) -> float:
-    """Root of fn between a and b, where f_a and f_b have opposite signs.
-
-    Anderson-Bjorck regula falsi: b is the latest point and the chord through
-    (a, f_a) and (b, f_b) gives the next; when it lands on b's side, f_a is
-    scaled down so that a does not stay put.  A step that fails to halve the
-    bracket is followed by a midpoint step.  The search stops at an exact zero
-    or when a and b are adjacent floats.
-    """
-    halve = False
-    for _ in range(200):
-        lo, hi = min(a, b), max(a, b)
-        x = 0.5 * (a + b)
-        if not halve:  # the chord's zero, kept at least one float inside the bracket
-            secant = b - f_b * ((b - a) / (f_b - f_a))
-            x = min(max(secant, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-        if not lo < x < hi:
-            break
-        f_x = fn(x)
-        if f_x == 0.0:
-            return x
-        if (f_x > 0.0) != (f_b > 0.0):
-            a, f_a = b, f_b
-        else:
-            m = 1.0 - f_x / f_b
-            f_a *= m if m > 0.0 else 0.5
-        b, f_b = x, f_x
-        halve = not halve and abs(b - a) > 0.5 * (hi - lo)
-    return 0.5 * (a + b)
 
 
 def _line_solver(fn):

@@ -222,12 +222,9 @@ def _quantile_coupling(
     return rows
 
 
-def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDist) -> TransportPlan:
-    """Quantile coupling of a dominating distribution (rows) with a dominated
-    one (columns).  It moves the mass exactly whenever dominance is exact; it
-    fails only for a dominating atom lighter than eps below every dominated
-    type, which no type may hand a strategy.
-    """
+def _coupled_rows(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDist) -> tuple[list[list[float]], list[int]]:
+    """The rows of ``transport_plan``'s weights and the last column each row
+    takes from, with its two errors."""
     if not dist_dominates(hi_dist, lo_dist):
         raise ValueError("target distribution does not stochastically dominate the source")
     hi_cum = list(accumulate(hi_dist.probs, initial=0.0))
@@ -240,6 +237,16 @@ def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDis
         if lo_dist.support[last] > t + eps:
             raise ValueError("transport would give a type a strategy of a higher type; no exact remap exists")
         alpha.append(last)
+    return rows, alpha
+
+
+def transport_plan(lo_dist: DiscreteToleranceDist, hi_dist: DiscreteToleranceDist) -> TransportPlan:
+    """Quantile coupling of a dominating distribution (rows) with a dominated
+    one (columns).  It moves the mass exactly whenever dominance is exact; it
+    fails only for a dominating atom lighter than eps below every dominated
+    type, which no type may hand a strategy.
+    """
+    rows, alpha = _coupled_rows(lo_dist, hi_dist)
     weights = np.array(rows)
     weights.setflags(write=False)
     return TransportPlan(weights, tuple(alpha), tuple(row[h] for row, h in zip(rows, alpha)))
@@ -253,17 +260,27 @@ def dominance_remap(
     """Rebuild a type-to-strategy map over a dominating distribution.
 
     Each atom of ``hi_dist`` plays the mixture of the ``g`` strategies whose
-    quantile mass it covers.  The output map satisfies
-    ``sum_j hi.probs[j] * g'(t_j')`` = ``sum_h lo.probs[h] * g(t_h)`` exactly
+    quantile mass it covers, summed in plain floats over the coupling's
+    entries that are not zero and divided by its total.  The output map
+    satisfies ``sum_j hi.probs[j] * g'(t_j')`` = ``sum_h lo.probs[h] * g(t_h)`` exactly
     when ``hi_dist`` dominates exactly, and otherwise to within the largest
     excess of hi's CDF over lo's, at most eps; every pure strategy used by
     atom t_j' comes from some g(t_h) with t_h <= t_j' + eps.
     """
     if not g.matches(lo_dist):
         raise ValueError("map domain does not match the source distribution support")
-    mix = transport_plan(lo_dist, hi_dist).weights @ np.array([s.probs for s in g.strategies])
-    mix = np.clip(mix / mix.sum(axis=1, keepdims=True), 0.0, 1.0)
-    return TypeStrategyMap(hi_dist.support, tuple(MixedStrategy(tuple(row)) for row in mix.tolist()))
+    rows, _ = _coupled_rows(lo_dist, hi_dist)
+    sources = [s.probs for s in g.strategies]
+    remapped = []
+    for row in rows:
+        mix = None
+        for w, probs in zip(row, sources):
+            if w:
+                part = [w * p for p in probs]
+                mix = part if mix is None else list(map(operator.add, mix, part))
+        total = sum(mix)
+        remapped.append(MixedStrategy(tuple([min(max(m / total, 0.0), 1.0) for m in mix])))
+    return TypeStrategyMap(hi_dist.support, tuple(remapped))
 
 
 def remap_preserves_mixture(

@@ -1,16 +1,24 @@
 """Dilemma games, closed-form thresholds, and cooperation rates."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as poly
 
 import toleq as tq
-from toleq.dilemmas import _BLOCK
+from toleq.dilemmas import _BLOCK, _threshold_branches, _unit_roots
 from toleq.numeric import reset_epsnum
-from toleq_oracles import bertrand_f_enum, brute_expected_utility, reference_cooperation_rate
+from toleq_oracles import (
+    bertrand_f_enum,
+    brute_expected_utility,
+    reference_cooperation_rate,
+    reference_cooperation_threshold,
+    reference_exact_cooperation_rate,
+)
 
 
 def test_pd_game_payoffs():
@@ -294,10 +302,16 @@ _travelers = st.builds(
     lambda low, spread, bonus: tq.TravelersDilemma(low, low + spread, bonus),
     st.integers(1, 20), st.integers(1, 200), st.integers(2, 30),
 )
-_bertrand = st.builds(
-    lambda n, low, spread: tq.BertrandCompetition(n, low, low + spread),
-    st.integers(2, 8), st.integers(2, 30), st.integers(1, 200),
-)
+
+
+def _bertrand_with(firms):
+    return st.builds(
+        lambda n, low, spread: tq.BertrandCompetition(n, low, low + spread),
+        firms, st.integers(2, 30), st.integers(1, 200),
+    )
+
+
+_bertrand = _bertrand_with(st.integers(2, 8))
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,6 +319,93 @@ _bertrand = st.builds(
 def test_exact_rate_matches_quadrature(spec, q):
     exact = tq.exact_cooperation_rate(spec, tq.RelativeTypeDistribution(q=q))
     assert exact == pytest.approx(_quad_rate(spec, q), abs=1e-12)
+
+
+_any_travelers = st.builds(
+    lambda low, spread, bonus: tq.TravelersDilemma(low, low + spread, bonus),
+    st.integers(1, 20), st.integers(1, 200), st.integers(1, 30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_any_travelers, _bertrand_with(st.one_of(st.integers(2, 60), st.sampled_from((200, 1000, 1100))))),
+    st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_thresholds_match_polyval_bit_for_bit(spec, beta, betas):
+    # Horner in polyval's operation order gives the same floats, so every
+    # Monte Carlo count stays the same
+    assert repr(tq.cooperation_threshold(spec, beta)) == repr(reference_cooperation_threshold(spec, beta))
+    grid = np.array(betas).reshape(-1, 1) if len(betas) % 2 else np.array(betas)
+    assert np.array_equal(tq.cooperation_threshold(spec, grid), reference_cooperation_threshold(spec, grid))
+    if isinstance(spec, tq.BertrandCompetition):
+        coefs = np.full(spec.num_firms, 1.0 / spec.num_firms)
+        assert repr(tq.bertrand_f(spec.num_firms, beta)) == repr(float(poly.polyval(beta, coefs)))
+        assert np.array_equal(tq.bertrand_f(spec.num_firms, grid), poly.polyval(grid, coefs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_any_travelers, _bertrand_with(st.integers(2, 40))),
+    st.floats(0.0, 1.0),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_exact_rate_matches_the_eigenvalue_reference(spec, q, beta_point):
+    dist = tq.RelativeTypeDistribution(q=q, beta_point=beta_point)
+    assert abs(tq.exact_cooperation_rate(spec, dist) - reference_exact_cooperation_rate(spec, dist)) <= 1e-12
+
+
+def _rate_polynomials(spec):
+    """A - B, A, B, A - S and B - S, whose roots end the pieces of the exact rate."""
+    a, b = _threshold_branches(spec)
+    scale = tq.all_cooperate_payoff(spec)
+    return [[x - y for x, y in zip(a, b)], a, b, [a[0] - scale, *a[1:]], [b[0] - scale, *b[1:]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_any_travelers, _bertrand_with(st.integers(2, 200))))
+def test_kinks_catch_every_sign_change_on_a_fine_grid(spec):
+    grid = np.linspace(0.0, 1.0, 10_001)
+    for coefs in _rate_polynomials(spec):
+        roots = _unit_roots(coefs)
+        assert roots == sorted(roots) and all(0.0 < r < 1.0 for r in roots)
+        values = poly.polyval(grid, np.array(coefs))
+        signs = np.sign(values)
+        cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        # a grid point where the value is 0 between values of opposite signs
+        points = np.flatnonzero((signs[1:-1] == 0) & (signs[:-2] * signs[2:] < 0)) + 1
+        # a root at 0 or 1 ends a piece anyway; its rounding can look like a sign change
+        size = sum(abs(c) for c in coefs)
+        kinks = roots + [x for x, v in ((0.0, values[0]), (1.0, values[-1])) if abs(v) <= 1e-12 * size]
+        for lo, hi in [(grid[i], grid[i + 1]) for i in cells] + [(grid[i], grid[i]) for i in points]:
+            assert any(lo - 1e-9 <= r <= hi + 1e-9 for r in kinks), (coefs, lo, hi, roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 19), min_size=1, max_size=5, unique=True),
+    st.lists(st.sampled_from((-1.0, -0.3, 1.2, 2.5)), max_size=2),
+    st.sampled_from((-3.0, -0.5, 0.5, 2.0)),
+)
+def test_unit_roots_split_at_the_derivative_roots(inside, outside, lead):
+    # several roots in (0, 1) need the derivative's roots to separate them;
+    # the roots 0.05 apart or more keep rounding far below 1e-9
+    want = sorted(k / 20 for k in inside)
+    coefs = (lead * poly.polyfromroots(want + outside)).tolist()
+    found = _unit_roots(coefs)
+    assert len(found) == len(want)
+    assert all(abs(f - w) <= 1e-9 for f, w in zip(found, want))
+
+
+def test_exact_rate_with_a_thousand_firms_is_fast_and_matches_quadrature():
+    # the kinks once came from companion-matrix eigenvalues, about 7 s here
+    spec = tq.BertrandCompetition(1000, 5, 30)
+    start = time.perf_counter()
+    exact = tq.exact_cooperation_rate(spec, tq.RelativeTypeDistribution())
+    elapsed = time.perf_counter() - start
+    assert exact == pytest.approx(_quad_rate(spec, 1.0), abs=1e-9)
+    assert elapsed < 0.5
 
 
 def test_monte_carlo_converges_to_exact():

@@ -40,3 +40,9 @@ def test_import_loads_only_numpy_and_the_standard_library(module):
 def test_import_does_not_load_numpy_random(module):
     # numpy loads numpy.random lazily; only drawing Monte Carlo samples needs it
     assert "numpy.random" not in _loaded_by(module)
+
+
+@pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
+def test_import_does_not_load_numpy_polynomial(module):
+    # only the Gauss-Legendre nodes of a built Bertrand game need it
+    assert "numpy.polynomial" not in _loaded_by(module)

@@ -11,6 +11,7 @@ from toleq_oracles import (
     dominating_dist,
     random_map,
     reference_dist_dominates,
+    reference_dominance_remap,
     reference_quantile_coupling,
     with_light_atoms,
 )
@@ -410,5 +411,47 @@ def test_transport_plan_matches_numpy_coupling(seed, eps):
         assert not plan.weights.flags.writeable
         assert plan.alpha == tuple(last.tolist())
         assert plan.beta == tuple(want[np.arange(len(last)), last].tolist())
+    finally:
+        reset_epsnum(token)
+
+
+def _outcome(remap, lo, hi, g):
+    try:
+        return remap(lo, hi, g)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([tq.DEFAULT_EPSNUM, 1e-3]))
+def test_remap_matches_the_matmul_reference(seed, eps):
+    # the plain-float mixture of each row matches the matmul, row division
+    # and clip within 1e-15, and both fail with the same message: hi not
+    # dominating lo, a light atom below every source type, a domain mismatch
+    token = tq.set_epsnum(eps)
+    try:
+        rng = np.random.default_rng(seed)
+        steps = rng.uniform(0.1, 2.0, int(rng.integers(1, 7)))
+        lo = tq.DiscreteToleranceDist(tuple(np.cumsum(steps) - steps[0] * rng.integers(0, 2)),
+                                      tuple(rng.dirichlet(np.ones(len(steps)))))
+        hi = lo if rng.random() < 0.2 else dominating_dist(rng, lo)
+        if rng.random() < 0.4:
+            hi = with_light_atoms(rng, hi, floor=lo.support[0] * rng.integers(0, 2))
+        if rng.random() < 0.1:
+            lo, hi = hi, lo
+        g = random_map(rng, lo, int(rng.integers(1, 9)))
+        if rng.random() < 0.3 and len(g.strategies[0].probs) > 1:
+            # entries just outside [0, 1], which the clip pulls back
+            nudged = tq.MixedStrategy((-0.4 * eps, 1.0 + 0.4 * eps, *[0.0] * (len(g.strategies[0].probs) - 2)))
+            g = tq.TypeStrategyMap(g.support, (nudged, *g.strategies[1:]))
+        if rng.random() < 0.05:
+            g = random_map(rng, hi, 3)
+        got, want = _outcome(tq.dominance_remap, lo, hi, g), _outcome(reference_dominance_remap, lo, hi, g)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.support == want.support
+        for mine, theirs in zip(got.strategies, want.strategies):
+            assert np.max(np.abs(np.subtract(mine.probs, theirs.probs))) <= 1e-15
     finally:
         reset_epsnum(token)

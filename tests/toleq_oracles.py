@@ -8,7 +8,9 @@ outcome by outcome, fixed-point roots come from a grid scan with plain
 bisection, discrete fixed points, the per-player verifier check and the
 quantile coupling from the numpy code that the plain-float code replaced,
 dominance from one ``cdf`` call per atom, and Monte Carlo cooperation rates
-from the whole-array sampler that the blocked one replaced.
+from the whole-array sampler that the blocked one replaced, thresholds from
+the ``numpy.polynomial`` code that the Horner one replaced, exact rates from
+companion-matrix kinks and Gauss-Legendre, and remaps from the matmul.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import itertools
 import math
 
 import numpy as np
+from numpy.polynomial import legendre
+from numpy.polynomial import polynomial as poly
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -283,6 +287,88 @@ def reference_dist_dominates(hi, lo):
     return all(hi.cdf(t) <= lo.cdf(t) + eps for t in points)
 
 
+def _reference_threshold_branches(spec):
+    """``dilemmas._threshold_branches`` as numpy coefficient arrays, as the
+    polyval thresholds read them."""
+    if isinstance(spec, tq.TravelersDilemma):
+        undercut = np.array([0.0, spec.bonus - 1.0])
+        floor_value = np.array([float(spec.bonus), -float(spec.high - spec.low)])
+        return undercut, floor_value
+    n, low, high = spec.num_firms, spec.price_floor, spec.price_cap
+    lead = np.zeros(n)
+    lead[-1] = 1.0
+    undercut = lead * (high - 1.0 - high / n)
+    floor_value = np.full(n, low / n) - lead * (high / n)
+    return undercut, floor_value
+
+
+def _reference_beliefs(beta):
+    arr = np.asarray(beta, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("beta must lie in [0, 1]")
+    return arr
+
+
+def reference_cooperation_threshold(spec, beta=None):
+    """The ``numpy.polynomial`` cooperation_threshold that the Horner one
+    replaced, kept verbatim as the reference it must match bit for bit."""
+    if isinstance(spec, (tq.PrisonersDilemma, tq.PublicGoods)):
+        value = spec.cost if isinstance(spec, tq.PrisonersDilemma) else 1.0 - spec.marginal_return
+        shape = () if beta is None else _reference_beliefs(beta).shape
+        return np.full(shape, float(value)) if shape else value
+    if beta is None:
+        if isinstance(spec, tq.BertrandCompetition):
+            raise ValueError("the Bertrand threshold depends on the belief beta")
+        return 2.0 * spec.bonus - 1.0
+    betas = _reference_beliefs(beta)
+    undercut, floor_value = _reference_threshold_branches(spec)
+    out = np.maximum(poly.polyval(betas, undercut), poly.polyval(betas, floor_value))
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_kinks(polys):
+    """Real roots in (0, 1) of the polynomials, from companion-matrix
+    eigenvalues, sorted and without repeats."""
+    trimmed = [np.trim_zeros(c) for c in polys]
+    roots = np.concatenate([poly.polyroots(c) for c in trimmed if len(c) > 1])
+    real = roots.real[np.abs(roots.imag) <= 1e-7]
+    return np.unique(real[(real > 0.0) & (real < 1.0)])
+
+
+def reference_exact_cooperation_rate(spec, dist):
+    """The exact_cooperation_rate that the Horner one replaced, kept verbatim
+    as the reference it must match within rounding: kinks from
+    companion-matrix eigenvalues, Gauss-Legendre on every piece."""
+    scale = tq.all_cooperate_payoff(spec)
+
+    def conditional(betas):
+        return np.clip(1.0 - reference_cooperation_threshold(spec, betas) / scale, 0.0, 1.0)
+
+    if dist.beta_point is not None:
+        return dist.q * float(conditional(np.asarray(dist.beta_point)))
+    if isinstance(spec, (tq.PrisonersDilemma, tq.PublicGoods)):
+        return dist.q * float(conditional(np.asarray(0.0)))
+
+    a, b = _reference_threshold_branches(spec)
+    kinks = _reference_kinks([poly.polysub(a, b), a, b, poly.polysub(a, [scale]), poly.polysub(b, [scale])])
+    edges = np.concatenate(([0.0], kinks, [1.0]))
+    nodes, weights = legendre.leggauss((len(a) - 1) // 2 + 1)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    width = np.diff(edges)[:, None]
+    betas = np.clip(edges[:-1, None] + width * nodes, 0.0, 1.0)
+    return dist.q * float(np.sum(width * weights * conditional(betas)))
+
+
+def reference_dominance_remap(lo_dist, hi_dist, g):
+    """The matmul ``dominance_remap`` that the plain-float one replaced, kept
+    verbatim as the reference it must match."""
+    if not g.matches(lo_dist):
+        raise ValueError("map domain does not match the source distribution support")
+    mix = tq.transport_plan(lo_dist, hi_dist).weights @ np.array([s.probs for s in g.strategies])
+    mix = np.clip(mix / mix.sum(axis=1, keepdims=True), 0.0, 1.0)
+    return tq.TypeStrategyMap(hi_dist.support, tuple(tq.MixedStrategy(tuple(row)) for row in mix.tolist()))
+
+
 def reference_sample(dist, rng, n):
     """``RelativeTypeDistribution.sample``, which drew whole arrays, kept
     verbatim for ``reference_cooperation_rate``."""
@@ -293,13 +379,13 @@ def reference_sample(dist, rng, n):
 
 
 def reference_cooperation_rate(spec, dist, samples, seed):
-    """The whole-array cooperation_rate that the blocked one replaced, kept
-    verbatim as the reference it must match bit for bit."""
+    """The whole-array cooperation_rate that the blocked one replaced, on the
+    polyval thresholds, kept as the reference it must match bit for bit."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     t_rel, beta, is_c = reference_sample(dist, rng, samples)
-    thresholds = tq.cooperation_threshold(spec, np.asarray(beta, dtype=float))
+    thresholds = reference_cooperation_threshold(spec, np.asarray(beta, dtype=float))
     scale = tq.all_cooperate_payoff(spec)
     cooperates = np.asarray(is_c, dtype=bool) & (t_rel * scale >= thresholds - epsnum())
     rate = float(cooperates.mean())
