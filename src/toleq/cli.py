@@ -170,8 +170,6 @@ def cmd_remap(args: argparse.Namespace) -> int:
 def cmd_pd_solve(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise SchemaError("--grid", f"the curve needs at least one interval, got {args.grid}")
-    if None in (args.a, args.b, args.c, args.d):
-        raise SchemaError("payoffs", "pd-solve needs --a, --b, --c and --d")
     payoffs = PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
     dist = serialize.distribution_from_obj(serialize.load_json(args.cdf), args.cdf)
 

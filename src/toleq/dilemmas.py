@@ -14,14 +14,17 @@ Monte Carlo.  The Monte Carlo rate reads its n tolerances, beliefs and
 dispositions in fixed-size blocks from the seed's PCG64 stream at offsets
 0, n and 2n (0 and n for a pinned belief, which draws no beliefs): the rate
 is identical to drawing the whole arrays, and memory does not grow with n.
-Every polynomial is a list of plain-float power-basis coefficients, evaluated
-by one Horner loop in ``numpy.polynomial.polynomial.polyval``'s operation
-order, on a float or in place on an array, so the thresholds match polyval's
-bit for bit.  An exact rate under a uniform belief integrates a piecewise
-polynomial: each of the five polynomials whose roots end the pieces has at
-most two coefficient sign changes, so its roots in (0, 1) are bracketed
-between its derivative's, and each piece is integrated through the
-antiderivative of its branch, all in time linear in the degree.
+Every polynomial is held by its power-basis coefficients.  The threshold
+branches are plain-float lists, evaluated by one Horner loop in
+``numpy.polynomial.polynomial.polyval``'s operation order, on a float or in
+place on an array, so the thresholds match polyval's bit for bit.  A built
+Bertrand game expands its tie-split integrand into coefficients one rival at
+a time and integrates it on [0, 1] as sum_m c_m / (m + 1).  An exact rate
+under a uniform belief integrates a piecewise polynomial: each of the five
+polynomials whose roots end the pieces has at most one root in (0, 1), found
+by one bracketed search when its ends differ in sign, and each piece is
+integrated through the antiderivative of its branch, all in time linear in
+the degree.
 
 Each spec class is described once, by its fields: a field's annotation
 (``int`` or ``float``) says how it is parsed and checked, and its metadata
@@ -129,18 +132,6 @@ _DILEMMAS = {
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], exact for degree 2m - 1."""
-    from numpy.polynomial import legendre  # only built Bertrand games need it
-
-    nodes, weights = legendre.leggauss(m)
-    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 @dataclass(frozen=True, eq=False)
 class _PublicGoodsGame(Game):
     """A built Public Goods game with closed-form utilities; its payoff
@@ -165,13 +156,19 @@ class _BertrandGame(Game):
 
     def _utilities(self, opponents: MixedProfile, player: int) -> np.ndarray:
         # u_i(p) = p * int_0^1 prod_j (P(s_j > p) + P(s_j = p) * z) dz over rivals j:
-        # a tie among m firms pays 1/m = int_0^1 z^(m-1) dz.  The integrand has
-        # degree n - 1 in z, so n // 2 + 1 Gauss-Legendre nodes are exact.
+        # a tie among m firms pays 1/m = int_0^1 z^(m-1) dz.  The product is
+        # expanded one rival at a time into power-basis coefficients in z, one
+        # row per power and one column per price, and sum_m c_m / (m + 1)
+        # integrates it exactly.
         others = np.array([s.probs for j, s in enumerate(opponents.strategies) if j != player])
         above = np.zeros_like(others)
         above[:, :-1] = np.cumsum(others[:, :0:-1], axis=1)[:, ::-1]
-        nodes, weights = _unit_gauss(self.num_players // 2 + 1)
-        return self.prices * (np.prod(above[..., None] + others[..., None] * nodes, axis=0) @ weights)
+        coefs = np.zeros((len(others) + 1, len(self.prices)))
+        coefs[0] = 1.0
+        for at_p, above_p in zip(others, above):
+            coefs[1:] = coefs[1:] * above_p + coefs[:-1] * at_p
+            coefs[0] *= above_p
+        return self.prices * ((1.0 / np.arange(1, len(coefs) + 1)) @ coefs)
 
 
 def _bertrand_payoffs(prices: np.ndarray, n: int) -> np.ndarray:
@@ -429,32 +426,30 @@ def _threshold_branches(spec: TravelersDilemma | BertrandCompetition) -> tuple[l
 
 
 def _unit_roots(coefs: list[float]) -> list[float]:
-    """Roots in (0, 1) of a polynomial, ascending.
+    """The root in (0, 1) of a polynomial with at most one there, as a list
+    of zero or one.
 
     Zero coefficients at either end are dropped: high-order ones lower the
-    degree, and low-order ones are roots at 0.  By Descartes' rule, when the
-    coefficients change sign at most once there is at most one positive
-    root, and it is simple, so (0, 1) holds it exactly when its ends differ
-    in sign.  Otherwise the derivative's roots cut (0, 1) into pieces on
-    which the polynomial is monotone, each searched the same way.  The five
-    polynomials of ``exact_cooperation_rate`` change sign at most twice, and
-    the derivative of one that changes twice changes once.
+    degree, and low-order ones are roots at 0.  A root in (0, 1) is then
+    searched once, on the whole interval, when the ends differ in sign.  The
+    five polynomials of ``exact_cooperation_rate`` meet the precondition.
+    A - B, A, B, A - S and the Traveler's Dilemma's B - S change coefficient
+    sign at most once, so by Descartes' rule each has at most one positive
+    root.  Bertrand's B - S changes sign at most twice and is (L - H) / n < 0
+    at 0.  Since beta^k + beta^(n-1-k) <= 1 + beta^(n-1) for every k, B - S
+    positive anywhere in (0, 1] is positive at 1, so it cannot have two roots
+    in (0, 1), positive between them and negative after.
     """
     nonzero = [k for k, c in enumerate(coefs) if c != 0.0]
     if len(nonzero) < 2:
         return []
     coefs = coefs[nonzero[0] : nonzero[-1] + 1]
-    signs = [c > 0.0 for c in coefs if c != 0.0]
-    cuts = [0.0, 1.0]
-    if sum(map(operator.ne, signs, signs[1:])) > 1:
-        cuts[1:1] = _unit_roots([k * c for k, c in enumerate(coefs)][1:])
-    values = [_horner(coefs, x) for x in cuts]
-    roots = [x for x, v in zip(cuts[1:-1], values[1:-1]) if v == 0.0]
-    for a, b, f_a, f_b in zip(cuts, cuts[1:], values, values[1:]):
-        if (f_a < 0.0 < f_b) or (f_b < 0.0 < f_a):
-            roots.append(_bracketed_root(functools.partial(_horner, coefs), a, b, f_a, f_b))
+    f_0, f_1 = coefs[0], _horner(coefs, 1.0)
+    if not ((f_0 < 0.0 < f_1) or (f_1 < 0.0 < f_0)):
+        return []
+    root = _bracketed_root(functools.partial(_horner, coefs), 0.0, 1.0, f_0, f_1)
     # a root within a float of 0 or 1 can round onto it
-    return sorted(r for r in roots if 0.0 < r < 1.0)
+    return [root] if 0.0 < root < 1.0 else []
 
 
 def exact_cooperation_rate(spec: DilemmaSpec, dist: RelativeTypeDistribution) -> float:

@@ -174,7 +174,7 @@ def verify_nash(game: Game, profile: MixedProfile) -> bool:
 def _check_symmetric_2x2(game: Game) -> None:
     if game.num_players != 2 or game.num_strategies != (2, 2):
         raise ValueError("grid search requires a 2-player, 2-strategy game")
-    if not np.allclose(game.payoffs[..., 0], game.payoffs[..., 1].T):
+    if np.max(np.abs(game.payoffs[..., 0] - game.payoffs[..., 1].T)) > epsnum():
         raise ValueError("grid search requires a symmetric game")
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,20 @@ def test_no_public_callable_takes_its_own_tolerance():
             if callable(fn):
                 assert not knobs & set(inspect.signature(fn).parameters), (name, fn)
     assert not inspect.signature(tq.epsnum).parameters
+
+
+def test_library_compares_only_within_epsnum():
+    # numpy's allclose and isclose carry their own rtol and atol
+    for path in Path(tq.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert "allclose(" not in source and "isclose(" not in source, path.name
+
+
+def test_pd_solve_without_a_payoff_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--cdf", "cdf.json"])
+    assert exc.value.code == 2
+    assert "--d" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -250,6 +250,24 @@ def test_grid_search_rejects_asymmetric_payoffs():
         tq.symmetric_alpha_intervals(game, pi, 11)
 
 
+def _pd_with_offset(offset):
+    payoffs = tq.as_game(tq.PdPayoffs(3, -1, 5, 0)).payoffs.copy()
+    payoffs[0, 1, 0] += offset
+    return tq.Game((("C", "D"), ("C", "D")), payoffs)
+
+
+def test_grid_search_compares_symmetry_within_epsnum():
+    pi = tq.DiscreteToleranceProfile.iid(tq.point_mass(0.0), 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        tq.symmetric_alpha_intervals(_pd_with_offset(1e-6), pi, 11)
+    assert tq.symmetric_alpha_intervals(_pd_with_offset(1e-10), pi, 11) == [(0.0, 0.0)]
+    token = tq.set_epsnum(1e-5)
+    try:
+        assert tq.symmetric_alpha_intervals(_pd_with_offset(1e-6), pi, 11) == [(0.0, 0.0)]
+    finally:
+        reset_epsnum(token)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_matches_maxflow_oracle(seed):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import toleq as tq
 from toleq import serialize
-from toleq_oracles import brute_expected_utility, random_game, random_profile
+from toleq_oracles import brute_expected_utility, random_game, random_profile, reference_bertrand_utilities
 
 
 def pd_game(b=5.0, c=2.0):
@@ -251,6 +251,23 @@ def test_closed_form_utilities_match_the_payoff_tensor(spec_levels, seed):
     for player in range(built.num_players):
         closed = tq.strategy_utilities(built, prof, player)
         assert np.max(np.abs(closed - tq.strategy_utilities(tensor, prof, player))) <= 1e-12
+
+
+# 2-8 firms over at most 13 prices and at most about 40,000 price profiles
+bertrand_firms_prices = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, 6), st.integers(1, min(12, int(40_000 ** (1 / n)) - 1)))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bertrand_firms_prices, st.integers(0, 10**9))
+def test_bertrand_utilities_match_the_gauss_legendre_reference(firms_prices, seed):
+    n, floor, width = firms_prices
+    game = tq.build_game(tq.BertrandCompetition(n, floor, floor + width)).game
+    prof = _sparse_profile(np.random.default_rng(seed), game)
+    for player in range(n):
+        expected = reference_bertrand_utilities(game, prof, player)
+        assert np.all(np.abs(tq.strategy_utilities(game, prof, player) - expected) <= 1e-14 * np.abs(expected))
 
 
 @pytest.mark.parametrize("n, floor, cap", [(2, 2, 9), (3, 2, 20), (4, 3, 15), (5, 2, 7)])

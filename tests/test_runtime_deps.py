@@ -12,13 +12,13 @@ import pytest
 import toleq
 
 
-def _loaded_by(module: str) -> set[str]:
-    """Names of the modules that importing ``module`` loads in a fresh
+def _loaded_by(code: str) -> set[str]:
+    """Names of the modules that running ``code`` loads in a fresh
     interpreter."""
     src = str(Path(toleq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys; before = set(sys.modules); import {module}\nprint(' '.join(sorted(set(sys.modules) - before)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    script = f"import sys; before = set(sys.modules)\n{code}\nprint(' '.join(sorted(set(sys.modules) - before)))"
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     return set(result.stdout.split())
 
 
@@ -28,21 +28,32 @@ def _top_level(names: set[str]) -> set[str]:
 
 @pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
 def test_import_does_not_load_scipy(module):
-    assert "scipy" not in _top_level(_loaded_by(module))
+    assert "scipy" not in _top_level(_loaded_by(f"import {module}"))
 
 
 @pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
 def test_import_loads_only_numpy_and_the_standard_library(module):
-    assert _top_level(_loaded_by(module)) - {"numpy", "toleq"} - set(sys.stdlib_module_names) == set()
+    assert _top_level(_loaded_by(f"import {module}")) - {"numpy", "toleq"} - set(sys.stdlib_module_names) == set()
 
 
 @pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
 def test_import_does_not_load_numpy_random(module):
     # numpy loads numpy.random lazily; only drawing Monte Carlo samples needs it
-    assert "numpy.random" not in _loaded_by(module)
+    assert "numpy.random" not in _loaded_by(f"import {module}")
 
 
 @pytest.mark.parametrize("module", ["toleq", "toleq.cli"])
 def test_import_does_not_load_numpy_polynomial(module):
-    # only the Gauss-Legendre nodes of a built Bertrand game need it
-    assert "numpy.polynomial" not in _loaded_by(module)
+    # every polynomial in dilemmas is a power-basis list or array, evaluated
+    # and integrated without numpy.polynomial
+    assert "numpy.polynomial" not in _loaded_by(f"import {module}")
+
+
+def test_bertrand_utilities_do_not_load_numpy_polynomial():
+    code = (
+        "import toleq as tq\n"
+        "built = tq.build_game(tq.BertrandCompetition(3, 2, 12))\n"
+        "profile = tq.beta_mixture_profile(built, 0.5)\n"
+        "for player in range(3): tq.regrets(built.game, profile, player)"
+    )
+    assert "numpy.polynomial" not in _loaded_by(code)

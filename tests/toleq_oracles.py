@@ -10,7 +10,8 @@ quantile coupling from the numpy code that the plain-float code replaced,
 dominance from one ``cdf`` call per atom, and Monte Carlo cooperation rates
 from the whole-array sampler that the blocked one replaced, thresholds from
 the ``numpy.polynomial`` code that the Horner one replaced, exact rates from
-companion-matrix kinks and Gauss-Legendre, and remaps from the matmul.
+companion-matrix kinks and Gauss-Legendre, built Bertrand utilities from
+Gauss-Legendre, and remaps from the matmul.
 """
 
 from __future__ import annotations
@@ -357,6 +358,21 @@ def reference_exact_cooperation_rate(spec, dist):
     width = np.diff(edges)[:, None]
     betas = np.clip(edges[:-1, None] + width * nodes, 0.0, 1.0)
     return dist.q * float(np.sum(width * weights * conditional(betas)))
+
+
+def reference_bertrand_utilities(game, opponents, player):
+    """The Gauss-Legendre ``_BertrandGame._utilities`` that the power-basis
+    one replaced, kept verbatim as the reference it must match within
+    rounding."""
+    # u_i(p) = p * int_0^1 prod_j (P(s_j > p) + P(s_j = p) * z) dz over rivals j:
+    # a tie among m firms pays 1/m = int_0^1 z^(m-1) dz.  The integrand has
+    # degree n - 1 in z, so n // 2 + 1 Gauss-Legendre nodes are exact.
+    others = np.array([s.probs for j, s in enumerate(opponents.strategies) if j != player])
+    above = np.zeros_like(others)
+    above[:, :-1] = np.cumsum(others[:, :0:-1], axis=1)[:, ::-1]
+    nodes, weights = legendre.leggauss(game.num_players // 2 + 1)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    return game.prices * (np.prod(above[..., None] + others[..., None] * nodes, axis=0) @ weights)
 
 
 def reference_dominance_remap(lo_dist, hi_dist, g):
