@@ -19,8 +19,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import serialize
 from .dilemmas import (
     _DILEMMAS,
@@ -34,7 +32,7 @@ from .dilemmas import (
     will_cooperate,
 )
 from .equilibrium import verify_tolerant_equilibrium
-from .numeric import reset_epsnum, set_epsnum
+from .numeric import np, reset_epsnum, set_epsnum
 from .pd_tolerant import (
     SWEEPABLE,
     PdPayoffs,
@@ -119,9 +117,20 @@ def _dilemma_from_args(args: argparse.Namespace, **swept):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    game = serialize.game_from_obj(serialize.load_json(args.game), args.game)
-    profile = serialize.profile_from_obj(serialize.load_json(args.profile), args.profile, game)
-    pi = serialize.tolerance_profile_from_obj(serialize.load_json(args.pi), args.pi, game)
+    """Check a profile for tolerant equilibrium.
+
+    The first input error found is reported, in this order: a file that
+    cannot be read or parsed as JSON (--game, then --profile, then --pi);
+    the game's players, strategy labels and payoff shape; the profile; the
+    tolerance profile.  These checks run in plain Python, and the payoff
+    tensor is built only after all of them pass, so a request that exits 2
+    does not load numpy unless its payoffs are ragged.
+    """
+    game_doc, profile_doc, pi_doc = map(serialize.load_json, (args.game, args.profile, args.pi))
+    header = serialize._game_header(game_doc, args.game)
+    profile = serialize.profile_from_obj(profile_doc, args.profile, header)
+    pi = serialize.tolerance_profile_from_obj(pi_doc, args.pi, header)
+    game = serialize.game_from_obj(game_doc, args.game)
     verdict = verify_tolerant_equilibrium(game, profile, pi)
     if args.fmt == "structured-object":
         _emit(json.dumps(serialize.verdict_to_obj(verdict), indent=2) + "\n", args.out)
@@ -222,6 +231,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     _check_probability("--beta", args.beta, "beta")
     _check_probability("--t-rel", args.t_rel, "relative tolerance")
     spec = _dilemma_from_args(args)
+    if args.beta is None and isinstance(spec, BertrandCompetition):
+        raise SchemaError("--beta", "the Bertrand threshold depends on the belief beta")
     threshold = cooperation_threshold(spec, args.beta)
     lines = [f"threshold: {threshold!r}"]
     code = 0

@@ -41,10 +41,8 @@ import operator
 from dataclasses import dataclass, field, fields
 from typing import Union
 
-import numpy as np
-
 from .games import Game, MixedProfile, MixedStrategy
-from .numeric import _bracketed_root, epsnum
+from .numeric import _bracketed_root, epsnum, np
 
 
 def _param(key: str, flag: str):
@@ -271,12 +269,19 @@ def beta_mixture_profile(built: BuiltDilemma, beta: float) -> MixedProfile:
     return MixedProfile(tuple(strategy for _ in range(built.game.num_players)))
 
 
-def _beliefs(beta) -> np.ndarray:
-    """Beliefs as an array; each must be a probability (NaN is not)."""
+def _beliefs(beta) -> float | np.ndarray:
+    """A belief as a float, or beliefs as an array; each must be a
+    probability (NaN is not).  A Python int or float, np.float64 among them,
+    is checked without numpy."""
+    if isinstance(beta, (int, float)):
+        beta = float(beta)
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
+        return beta
     arr = np.asarray(beta, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("beta must lie in [0, 1]")
-    return arr
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _horner(coefs: list[float], x, out: np.ndarray | None = None):
@@ -307,9 +312,9 @@ def bertrand_f(n: int, beta):
     """
     if n < 2:
         raise ValueError("need at least two firms")
-    arr = _beliefs(beta)
+    betas = _beliefs(beta)
     coefs = [1.0 / n] * n
-    return _horner(coefs, float(arr)) if arr.ndim == 0 else _horner(coefs, arr, np.empty(arr.shape))
+    return _horner(coefs, betas) if isinstance(betas, float) else _horner(coefs, betas, np.empty(betas.shape))
 
 
 def all_cooperate_payoff(spec: DilemmaSpec) -> float:
@@ -337,8 +342,8 @@ def cooperation_threshold(spec: DilemmaSpec, beta=None):
     """
     if isinstance(spec, (PrisonersDilemma, PublicGoods)):
         value = spec.cost if isinstance(spec, PrisonersDilemma) else 1.0 - spec.marginal_return
-        shape = () if beta is None else _beliefs(beta).shape
-        return np.full(shape, float(value)) if shape else value
+        betas = 0.0 if beta is None else _beliefs(beta)
+        return value if isinstance(betas, float) else np.full(betas.shape, float(value))
     if not isinstance(spec, (TravelersDilemma, BertrandCompetition)):
         raise TypeError(f"unknown dilemma spec {spec!r}")
     if beta is None:
@@ -347,8 +352,8 @@ def cooperation_threshold(spec: DilemmaSpec, beta=None):
         return 2.0 * spec.bonus - 1.0
     betas = _beliefs(beta)
     branches = _threshold_branches(spec)
-    if betas.ndim == 0:
-        return max(_horner(branch, float(betas)) for branch in branches)
+    if isinstance(betas, float):
+        return max(_horner(branch, betas) for branch in branches)
     return _thresholds(branches, betas, np.empty(betas.shape), np.empty(betas.shape))
 
 

@@ -34,10 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 
-import numpy as np
-
 from .games import Game, MixedProfile, MixedStrategy, regrets
-from .numeric import epsnum
+from .numeric import epsnum, np
 from .tolerance import (
     DiscreteToleranceDist,
     DiscreteToleranceProfile,

@@ -14,9 +14,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .numeric import epsnum, np
 
-from .numeric import epsnum
+
+def _strategy_labels(rows) -> tuple[tuple[str, ...], ...]:
+    """Labels as strings, checked: at least one player, each with at least
+    one pure strategy."""
+    labels = tuple(tuple(str(s) for s in row) for row in rows)
+    if not labels:
+        raise ValueError("game needs at least one player")
+    if any(len(row) == 0 for row in labels):
+        raise ValueError("every player needs at least one strategy")
+    return labels
+
+
+def _check_shape(labels: tuple[tuple[str, ...], ...], shape: tuple[int, ...]) -> None:
+    """A payoff tensor of this shape must hold every player's payoff at
+    every pure profile."""
+    expected = tuple(len(row) for row in labels) + (len(labels),)
+    if shape != expected:
+        raise ValueError(
+            f"payoff tensor shape {shape} does not match "
+            f"strategy counts {expected[:-1]} and {len(labels)} players"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,18 +51,9 @@ class Game:
     payoffs: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = tuple(tuple(str(s) for s in row) for row in self.strategy_labels)
-        if not labels:
-            raise ValueError("game needs at least one player")
-        if any(len(row) == 0 for row in labels):
-            raise ValueError("every player needs at least one strategy")
+        labels = _strategy_labels(self.strategy_labels)
         tensor = np.asarray(self.payoffs, dtype=float)
-        expected = tuple(len(row) for row in labels) + (len(labels),)
-        if tensor.shape != expected:
-            raise ValueError(
-                f"payoff tensor shape {tensor.shape} does not match "
-                f"strategy counts {expected[:-1]} and {len(labels)} players"
-            )
+        _check_shape(labels, tensor.shape)
         if not np.all(np.isfinite(tensor)):
             raise ValueError("payoffs must be finite")
         if tensor.flags.writeable or not tensor.flags.owndata:

@@ -44,10 +44,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
 
-import numpy as np
-
 from .games import Game
-from .numeric import _bracketed_root, epsnum
+from .numeric import _bracketed_root, epsnum, np
 from .tolerance import (
     ContinuousCdf,
     DiscreteToleranceDist,

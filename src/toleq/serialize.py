@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
-from typing import Any
-
-import numpy as np
+from typing import Any, NamedTuple
 
 from .equilibrium import EquilibriumVerdict, Violation
-from .games import Game, MixedProfile, MixedStrategy
+from .games import Game, MixedProfile, MixedStrategy, _check_shape, _strategy_labels
+from .numeric import np
 from .tolerance import (
     ContinuousCdf,
     DiscreteToleranceDist,
@@ -81,7 +80,41 @@ def game_to_obj(game: Game) -> dict:
     }
 
 
-def game_from_obj(obj: Any, path: str = "game") -> Game:
+class _GameHeader(NamedTuple):
+    """A game document's strategy labels, which the profile and tolerance
+    profile are checked against before the payoff tensor is built."""
+
+    strategy_labels: tuple[tuple[str, ...], ...]
+
+    @property
+    def num_players(self) -> int:
+        return len(self.strategy_labels)
+
+    @property
+    def num_strategies(self) -> tuple[int, ...]:
+        return tuple(map(len, self.strategy_labels))
+
+
+def _shape(value: list) -> tuple[int, ...] | None:
+    """The shape of nested lists that ``_check_numbers`` passed, as numpy
+    gives it, or None where their lengths or depths differ."""
+    if not value or not isinstance(value[0], list):
+        return (len(value),)
+    shapes = set(map(_shape, value))
+    return (len(value), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
+
+
+def _game(labels: tuple[tuple[str, ...], ...], payoffs: list, path: str) -> Game:
+    try:
+        return Game(labels, np.asarray(payoffs, dtype=float))
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
+def _game_header(obj: Any, path: str = "game") -> _GameHeader:
+    """The strategy labels of a game document, checked with the numbers and
+    the shape of its payoffs in plain Python.  Ragged payoffs build the
+    tensor instead, which rejects them with numpy's own message."""
     players = _integer(_require(obj, "players", path), f"{path}.players")
     strategies = _require(obj, "strategies", path)
     payoffs = _require(obj, "payoffs", path)
@@ -91,17 +124,27 @@ def game_from_obj(obj: Any, path: str = "game") -> Game:
         if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
             raise SchemaError(f"{path}.strategies[{i}]", "expected a list of string labels")
     _check_numbers(payoffs, f"{path}.payoffs")
+    shape = _shape(payoffs)
     try:
-        return Game(tuple(tuple(row) for row in strategies), np.asarray(payoffs, dtype=float))
+        labels = _strategy_labels(strategies)
+        if shape is not None:
+            _check_shape(labels, shape)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
+    if shape is None:
+        _game(labels, payoffs, path)
+    return _GameHeader(labels)
+
+
+def game_from_obj(obj: Any, path: str = "game") -> Game:
+    return _game(_game_header(obj, path).strategy_labels, obj["payoffs"], path)
 
 
 def profile_to_obj(profile: MixedProfile) -> dict:
     return {"strategies": [list(s.probs) for s in profile.strategies]}
 
 
-def profile_from_obj(obj: Any, path: str = "profile", game: Game | None = None) -> MixedProfile:
+def profile_from_obj(obj: Any, path: str = "profile", game: Game | _GameHeader | None = None) -> MixedProfile:
     """Parse a mixed profile; with ``game``, its strategy counts must match."""
     strategies = _require(obj, "strategies", path)
     if not isinstance(strategies, list) or not strategies:
@@ -175,7 +218,7 @@ def tolerance_profile_to_obj(pi: DiscreteToleranceProfile) -> dict:
 
 
 def tolerance_profile_from_obj(
-    obj: Any, path: str = "pi", game: Game | None = None
+    obj: Any, path: str = "pi", game: Game | _GameHeader | None = None
 ) -> DiscreteToleranceProfile:
     """Parse a tolerance profile; with ``game``, it must have one entry per player."""
     players = _require(obj, "players", path)

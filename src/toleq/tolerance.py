@@ -19,10 +19,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 
-import numpy as np
-
 from .games import MixedStrategy
-from .numeric import epsnum
+from .numeric import epsnum, np
 
 
 def _check_support(support: tuple[float, ...]) -> None:
@@ -283,6 +281,11 @@ def dominance_remap(
     return TypeStrategyMap(hi_dist.support, tuple(remapped))
 
 
+def _mixture(dist: DiscreteToleranceDist, g: TypeStrategyMap) -> list[float]:
+    """``g.mixture(dist)`` as plain floats, for a map whose support matches."""
+    return [sum(map(operator.mul, dist.probs, column)) for column in zip(*(s.probs for s in g.strategies))]
+
+
 def remap_preserves_mixture(
     lo_dist: DiscreteToleranceDist,
     hi_dist: DiscreteToleranceDist,
@@ -291,14 +294,17 @@ def remap_preserves_mixture(
 ) -> bool:
     """Game-free structural check of a remapped assignment.
 
-    The mass-weighted mixtures must agree, and every pure strategy a
-    dominating atom plays must be played by some dominated atom with a
-    tolerance no larger than it (so consistency carries over).
+    The mass-weighted mixtures must agree within eps in every pure
+    strategy, and every pure strategy a dominating atom plays must be played
+    by some dominated atom with a tolerance no larger than it (so
+    consistency carries over).  The mixtures are summed in plain floats; maps
+    over different numbers of pure strategies do not agree.
     """
     eps = epsnum()
     if not (g.matches(lo_dist) and g_prime.matches(hi_dist)):
         return False
-    if np.max(np.abs(g.mixture(lo_dist) - g_prime.mixture(hi_dist))) > eps:
+    mixtures = [_mixture(lo_dist, g), _mixture(hi_dist, g_prime)]
+    if len(mixtures[0]) != len(mixtures[1]) or any(abs(a - b) > eps for a, b in zip(*mixtures)):
         return False
     for t_hi, strategy in zip(g_prime.support, g_prime.strategies):
         allowed: set[int] = set()

@@ -655,8 +655,46 @@ TD_THRESHOLD = ["threshold", "--kind", "td", "--low", "2", "--high", "100", "--b
     ([*RATE_SWEEP, "--q", "1.5"], "--q"),
     ([*RATE_SWEEP, "--samples", "0"], "--samples"),
     (["threshold", "--kind", "pd", "--benefit", "5", "--cost", "2", "--t-rel", "nan"], "--t-rel"),
-], ids=["beta", "beta-point", "q", "samples", "t-rel"])
+    (["threshold", "--kind", "bertrand", "--n", "3", "--low", "2", "--high", "10"], "--beta"),
+], ids=["beta", "beta-point", "q", "samples", "t-rel", "bertrand-without-beta"])
 def test_belief_and_sampling_flags_name_themselves(argv, flag, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"input error: {flag}: ")
+
+
+GOOD_GAME = {"players": 2, "strategies": [["C", "D"], ["C", "D"]],
+             "payoffs": [[[3.0, 3.0], [-2.0, 5.0]], [[5.0, -2.0], [0.0, 0.0]]]}
+GOOD_PROFILE = {"strategies": [[0.25, 0.75], [0.25, 0.75]]}
+GOOD_PI = {"players": [{"type": "discrete", "support": [0.0, 3.0], "probs": [0.75, 0.25]}] * 2}
+FAULTS = {
+    "game-labels": ("game", dict(GOOD_GAME, strategies=[["C", "D"]])),
+    "game-shape": ("game", dict(GOOD_GAME, payoffs=[[[3.0, 3.0], [-2.0, 5.0]]])),
+    "profile-parse": ("profile", "{"),
+    "profile-schema": ("profile", {"strategy": GOOD_PROFILE["strategies"]}),
+    "pi-parse": ("pi", "{"),
+    "pi-schema": ("pi", {"players": [{"type": "discrete", "support": [0.0, 3.0], "probs": [0.5, 0.25]}] * 2}),
+}
+
+
+@pytest.mark.parametrize("faults, named", [
+    (("game-shape", "profile-schema"), "game"),
+    (("game-shape", "pi-parse"), "pi"),
+    (("game-labels", "profile-schema"), "game"),
+    (("profile-schema", "pi-parse"), "pi"),
+    (("game-labels", "profile-parse"), "profile"),
+    (("profile-schema", "pi-schema"), "profile"),
+], ids=lambda v: "+".join(v) if isinstance(v, tuple) else v)
+def test_verify_names_the_first_fault_in_the_documented_order(faults, named, tmp_path, capsys):
+    # files that do not parse, then the game's labels and payoff shape, the
+    # profile and the tolerance profile
+    docs = {"game": GOOD_GAME, "profile": GOOD_PROFILE, "pi": GOOD_PI}
+    docs.update(FAULTS[fault] for fault in faults)
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--game", str(paths["game"]), "--profile", str(paths["profile"]),
+                 "--pi", str(paths["pi"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"input error: {paths[named]}")

@@ -1,5 +1,6 @@
 """Dilemma games, closed-form thresholds, and cooperation rates."""
 
+import re
 import time
 import tracemalloc
 
@@ -343,6 +344,41 @@ def test_thresholds_match_polyval_bit_for_bit(spec, beta, betas):
         coefs = np.full(spec.num_firms, 1.0 / spec.num_firms)
         assert repr(tq.bertrand_f(spec.num_firms, beta)) == repr(float(poly.polyval(beta, coefs)))
         assert np.array_equal(tq.bertrand_f(spec.num_firms, grid), poly.polyval(grid, coefs))
+
+
+_any_dilemma = st.one_of(
+    st.builds(lambda cost, gain: tq.PrisonersDilemma(cost + gain, cost), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    st.builds(lambda n, u: tq.PublicGoods(n, 1.0 / n + (1.0 - 1.0 / n) * u), st.integers(2, 10), st.floats(0.01, 0.99)),
+    _any_travelers,
+    _bertrand_with(st.integers(2, 60)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_dilemma, st.integers(2, 60), st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+def test_a_scalar_belief_gives_the_floats_of_the_array_path(spec, n, beta):
+    # a Python float or np.float64 belief is checked and evaluated without
+    # numpy, and gives element 0 of the one-belief array, bit for bit
+    threshold = tq.cooperation_threshold(spec, beta)
+    assert type(threshold) is float
+    assert repr(threshold) == repr(tq.cooperation_threshold(spec, np.float64(beta)))
+    assert repr(threshold) == repr(float(tq.cooperation_threshold(spec, np.array([beta]))[0]))
+    share = tq.bertrand_f(n, beta)
+    assert type(share) is float
+    assert repr(share) == repr(tq.bertrand_f(n, np.float64(beta)))
+    assert repr(share) == repr(float(tq.bertrand_f(n, np.array([beta]))[0]))
+
+
+@pytest.mark.parametrize("make", [float, np.float64])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1, 1.1])
+def test_a_scalar_belief_outside_the_unit_interval_is_rejected(make, bad):
+    specs = (tq.PrisonersDilemma(5.0, 2.0), tq.PublicGoods(3, 0.5), tq.TravelersDilemma(2, 100, 2),
+             tq.BertrandCompetition(3, 2, 30))
+    for spec in specs:
+        with pytest.raises(ValueError, match=re.escape("beta must lie in [0, 1]")):
+            tq.cooperation_threshold(spec, make(bad))
+    with pytest.raises(ValueError, match=re.escape("beta must lie in [0, 1]")):
+        tq.bertrand_f(3, make(bad))
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toleq as tq
 from toleq import serialize
@@ -126,3 +128,32 @@ def test_payoff_tensor_layout_is_player_major():
     # payoffs[row strategy][column strategy] -> per-player vector
     assert obj["payoffs"][0][1] == [-2.0, 5.0]
     assert obj["payoffs"][1][0] == [5.0, -2.0]
+
+
+@st.composite
+def _regular_lists(draw):
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+
+    def fill(dims):
+        if len(dims) == 1:
+            return draw(st.lists(st.integers(-5, 5), min_size=dims[0], max_size=dims[0]))
+        return [fill(dims[1:]) for _ in range(dims[0])]
+
+    return fill(shape)
+
+
+_ragged_lists = st.recursive(st.lists(st.floats(-5.0, 5.0), max_size=3), lambda inner: st.lists(inner, max_size=3),
+                             max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_regular_lists(), _ragged_lists))
+def test_payoff_shape_is_the_one_numpy_gives(value):
+    # the game header checks the shape of the payoffs without numpy; where
+    # numpy cannot build an array from them, the header leaves them to numpy
+    serialize._check_numbers(value, "payoffs")
+    try:
+        want = np.asarray(value, dtype=float).shape
+    except ValueError:
+        want = None
+    assert serialize._shape(value) == want

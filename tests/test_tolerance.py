@@ -1,5 +1,7 @@
 """Discrete distributions, CDF families, dominance, and the remap."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from toleq_oracles import (
     reference_dist_dominates,
     reference_dominance_remap,
     reference_quantile_coupling,
+    reference_remap_preserves_mixture,
     with_light_atoms,
 )
 
@@ -453,5 +456,116 @@ def test_remap_matches_the_matmul_reference(seed, eps):
         assert got.support == want.support
         for mine, theirs in zip(got.strategies, want.strategies):
             assert np.max(np.abs(np.subtract(mine.probs, theirs.probs))) <= 1e-15
+    finally:
+        reset_epsnum(token)
+
+
+def _moved(g, atom, source, target, mass):
+    """g with ``mass`` of one type's probability moved from one pure strategy
+    to another."""
+    probs = list(g.strategies[atom].probs)
+    probs[source] -= mass
+    probs[target] += mass
+    strategies = list(g.strategies)
+    strategies[atom] = tq.MixedStrategy(tuple(probs))
+    return tq.TypeStrategyMap(g.support, tuple(strategies))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([tq.DEFAULT_EPSNUM, 1e-3]))
+def test_remap_check_matches_the_matmul_reference_on_random_remaps(seed, eps):
+    # the dominance remap of a random map, the same with one type's mass
+    # moved by up to 3 eps, an arbitrary map over hi, and maps over a
+    # different number of pure strategies
+    token = tq.set_epsnum(eps)
+    try:
+        rng = np.random.default_rng(seed)
+        steps = rng.uniform(0.1, 2.0, int(rng.integers(1, 7)))
+        lo = tq.DiscreteToleranceDist(tuple(np.cumsum(steps) - steps[0] * rng.integers(0, 2)),
+                                      tuple(rng.dirichlet(np.ones(len(steps)))))
+        hi = lo if rng.random() < 0.2 else dominating_dist(rng, lo)
+        if rng.random() < 0.3:
+            hi = with_light_atoms(rng, hi, floor=lo.support[0] * rng.integers(0, 2))
+        size = int(rng.integers(1, 6))
+        g = random_map(rng, lo, size)
+        draw = rng.random()
+        if draw < 0.05:
+            # the matmul cannot subtract these mixtures, or broadcasts one of size 1
+            assert not tq.remap_preserves_mixture(lo, hi, g, random_map(rng, hi, size + 1))
+            return
+        if draw < 0.2:
+            g_prime = random_map(rng, hi, size)
+        else:
+            try:
+                g_prime = tq.dominance_remap(lo, hi, g)
+            except ValueError:
+                return
+            if draw < 0.6 and size > 1:
+                atom = int(rng.integers(len(hi.support)))
+                source = int(np.argmax(g_prime.strategies[atom].probs))
+                target = (source + int(rng.integers(1, size))) % size
+                g_prime = _moved(g_prime, atom, source, target, float(rng.uniform(0.0, 3.0)) * eps)
+        assert tq.remap_preserves_mixture(lo, hi, g, g_prime) == reference_remap_preserves_mixture(lo, hi, g, g_prime)
+    finally:
+        reset_epsnum(token)
+
+
+def _halved_masses(rng, atoms):
+    """``atoms`` masses that are powers of two and sum to 1."""
+    masses = [1.0]
+    while len(masses) < atoms:
+        masses.append(masses.pop(int(rng.integers(len(masses)))) / 2.0)
+        masses.append(masses[-1])
+    return sorted(masses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([tq.DEFAULT_EPSNUM, 1e-3]), st.integers(-3, 3))
+def test_remap_check_matches_the_matmul_reference_within_ulps_of_eps(seed, eps, ulps):
+    # one type's mass moves by eps plus or minus a few ulps of eps, to any
+    # pure strategy.  The masses are powers of two and each type plays its
+    # own pure strategies, so every mixture entry is one exact product or
+    # the sum of two, rounded once in either form: the verdicts may differ
+    # only if the two forms round differently
+    token = tq.set_epsnum(eps)
+    try:
+        rng = np.random.default_rng(seed)
+        masses = _halved_masses(rng, int(rng.integers(1, 5)))
+        dist = tq.DiscreteToleranceDist(tuple(np.cumsum(rng.uniform(0.1, 2.0, len(masses)))), tuple(masses))
+        blocks = [int(rng.integers(1, 4)) for _ in masses]
+        size = sum(blocks) + int(rng.integers(0, 3))
+        strategies, start = [], 0
+        for block in blocks:
+            probs = [0.0] * size
+            probs[start : start + block] = rng.dirichlet(np.ones(block)).tolist()
+            strategies.append(tq.MixedStrategy(tuple(probs)))
+            start += block
+        g = tq.TypeStrategyMap(dist.support, tuple(strategies))
+        atom = int(rng.integers(len(masses)))
+        source = int(np.argmax(g.strategies[atom].probs))
+        target = (source + int(rng.integers(1, size))) % size if size > 1 else source
+        moved = (eps + ulps * math.ulp(eps)) / masses[atom]
+        g_prime = _moved(g, atom, source, target, moved)
+        assert tq.remap_preserves_mixture(dist, dist, g, g_prime) == reference_remap_preserves_mixture(
+            dist, dist, g, g_prime
+        )
+    finally:
+        reset_epsnum(token)
+
+
+@pytest.mark.parametrize("eps", [tq.DEFAULT_EPSNUM, 1e-3])
+@pytest.mark.parametrize("ulps", range(-3, 4))
+def test_remap_check_turns_at_the_last_ulp_of_eps(eps, ulps):
+    # a single type moves eps plus or minus a few ulps from its second pure
+    # strategy, which holds 2 eps, to its unused third: both subtractions are
+    # exact, so each mixture is off by exactly the mass moved, and the moved
+    # mass is in the support only when the mixtures disagree
+    token = tq.set_epsnum(eps)
+    try:
+        dist = tq.point_mass(1.0)
+        g = tq.TypeStrategyMap(dist.support, (tq.MixedStrategy((1.0 - 2.0 * eps, 2.0 * eps, 0.0)),))
+        g_prime = _moved(g, 0, 1, 2, eps + ulps * math.ulp(eps))
+        assert tq.remap_preserves_mixture(dist, dist, g, g_prime) is (ulps <= 0)
+        assert reference_remap_preserves_mixture(dist, dist, g, g_prime) is (ulps <= 0)
     finally:
         reset_epsnum(token)

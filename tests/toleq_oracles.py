@@ -11,7 +11,7 @@ dominance from one ``cdf`` call per atom, and Monte Carlo cooperation rates
 from the whole-array sampler that the blocked one replaced, thresholds from
 the ``numpy.polynomial`` code that the Horner one replaced, exact rates from
 companion-matrix kinks and Gauss-Legendre, built Bertrand utilities from
-Gauss-Legendre, and remaps from the matmul.
+Gauss-Legendre, and remaps and their mixture check from the matmul.
 """
 
 from __future__ import annotations
@@ -383,6 +383,25 @@ def reference_dominance_remap(lo_dist, hi_dist, g):
     mix = tq.transport_plan(lo_dist, hi_dist).weights @ np.array([s.probs for s in g.strategies])
     mix = np.clip(mix / mix.sum(axis=1, keepdims=True), 0.0, 1.0)
     return tq.TypeStrategyMap(hi_dist.support, tuple(tq.MixedStrategy(tuple(row)) for row in mix.tolist()))
+
+
+def reference_remap_preserves_mixture(lo_dist, hi_dist, g, g_prime):
+    """The ``remap_preserves_mixture`` whose mixtures came from the matmul in
+    ``TypeStrategyMap.mixture``, kept verbatim as the reference that the
+    plain-float sums must match."""
+    eps = epsnum()
+    if not (g.matches(lo_dist) and g_prime.matches(hi_dist)):
+        return False
+    if np.max(np.abs(g.mixture(lo_dist) - g_prime.mixture(hi_dist))) > eps:
+        return False
+    for t_hi, strategy in zip(g_prime.support, g_prime.strategies):
+        allowed: set[int] = set()
+        for t_lo, source in zip(g.support, g.strategies):
+            if t_lo <= t_hi + eps:
+                allowed.update(source.support())
+        if any(index not in allowed for index in strategy.support()):
+            return False
+    return True
 
 
 def reference_sample(dist, rng, n):
