@@ -9,56 +9,65 @@ Exit codes: 0 success or affirmative verdict, 1 negative verdict
 (not an equilibrium, dominance failure, non-existence, will not cooperate),
 2 usage or input error.  The TOLEQ_EPSNUM environment variable (or the
 --epsnum flag, which wins) overrides the comparison tolerance for one run.
+
+Each command imports the modules it runs when it starts, so a request loads
+only those: the parser needs only the dilemma specs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
 
-from . import serialize
-from .dilemmas import (
-    _DILEMMAS,
-    BertrandCompetition,
-    RelativeType,
-    RelativeTypeDistribution,
-    TravelersDilemma,
-    cooperation_rate,
-    cooperation_threshold,
-    relative_to_absolute,
-    will_cooperate,
-)
-from .equilibrium import verify_tolerant_equilibrium
 from .numeric import np, reset_epsnum, set_epsnum
-from .pd_tolerant import (
-    SWEEPABLE,
-    PdPayoffs,
-    comparative_statics_sweep,
-    fixed_point_curve,
-    solve_discrete,
-    solve_symmetric,
-)
-from .serialize import SchemaError
-from .tolerance import ContinuousCdf, DiscreteToleranceDist, dist_dominates, dominance_remap, remap_preserves_mixture
+from .specs import _DILEMMAS, BertrandCompetition, SchemaError, TravelersDilemma
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """The values of ``np.linspace(lo, hi, count)``, in its order of
+    operations: where the step underflows to zero numpy scales by the span
+    instead, and it sets the last value to ``hi``."""
+    if count < 2:
+        return [0.0 * (hi - lo) + lo] if count == 1 else []
+    div = count - 1
+    step = (hi - lo) / div
+    values = [i / div * (hi - lo) + lo if step == 0.0 else i * step + lo for i in range(count)]
+    values[-1] = hi
+    return values
 
 
 def _parse_values(text: str) -> list[float]:
     """Sweep values from ``lo:hi:count`` or a comma-separated list; a
-    malformed or empty list is an input error that names --values."""
+    malformed, empty or non-finite list is an input error that names
+    --values."""
+    values = []
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            values = [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
+            values = _linspace(float(lo), float(hi), int(count))
         else:
             values = [float(v) for v in text.split(",")]
-        if values:
-            return values
     except ValueError:
         pass
-    raise SchemaError("--values", f"expected lo:hi:count (count >= 1) or a list like 1,2,3, got {text!r}")
+    if not values:
+        raise SchemaError("--values", f"expected lo:hi:count (count >= 1) or a list like 1,2,3, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise SchemaError("--values", f"values must be finite, got {text!r}")
+    return values
+
+
+def _payoffs(args: argparse.Namespace):
+    """The Prisoner's Dilemma payoffs that --a, --b, --c and --d give."""
+    from .pd_tolerant import PdPayoffs
+
+    for flag in ("a", "b", "c", "d"):
+        if not math.isfinite(getattr(args, flag)):
+            raise SchemaError(f"--{flag}", f"payoffs must be finite, got {getattr(args, flag)!r}")
+    return PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
 
 
 def _check_probability(flag: str, value: float | None, what: str) -> None:
@@ -94,6 +103,8 @@ def _dilemma_from_args(args: argparse.Namespace, **swept):
     names set to the given --values."""
     kind = args.kind
     if args.spec is not None:
+        from . import serialize
+
         obj = serialize.load_json(args.spec)
         spec = serialize.dilemma_spec_from_obj(obj, args.spec)
         if kind not in (None, obj["kind"]):
@@ -126,6 +137,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tensor is built only after all of them pass, so a request that exits 2
     does not load numpy unless its payoffs are ragged.
     """
+    from . import serialize
+    from .equilibrium import verify_tolerant_equilibrium
+
     game_doc, profile_doc, pi_doc = map(serialize.load_json, (args.game, args.profile, args.pi))
     header = serialize._game_header(game_doc, args.game)
     profile = serialize.profile_from_obj(profile_doc, args.profile, header)
@@ -154,6 +168,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_remap(args: argparse.Namespace) -> int:
+    from . import serialize
+    from .tolerance import DiscreteToleranceDist, dist_dominates, dominance_remap, remap_preserves_mixture
+
     lo = serialize.distribution_from_obj(serialize.load_json(args.pi), args.pi)
     hi = serialize.distribution_from_obj(serialize.load_json(args.pi_prime), args.pi_prime)
     g = serialize.type_strategy_map_from_obj(serialize.load_json(args.g), args.g)
@@ -177,9 +194,13 @@ def cmd_remap(args: argparse.Namespace) -> int:
 
 
 def cmd_pd_solve(args: argparse.Namespace) -> int:
+    from . import serialize
+    from .pd_tolerant import fixed_point_curve, solve_discrete, solve_symmetric
+    from .tolerance import DiscreteToleranceDist
+
     if args.grid < 1:
         raise SchemaError("--grid", f"the curve needs at least one interval, got {args.grid}")
-    payoffs = PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
+    payoffs = _payoffs(args)
     dist = serialize.distribution_from_obj(serialize.load_json(args.cdf), args.cdf)
 
     if isinstance(dist, DiscreteToleranceDist):
@@ -228,6 +249,8 @@ def cmd_pd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
+    from .dilemmas import RelativeType, cooperation_threshold, relative_to_absolute, will_cooperate
+
     _check_probability("--beta", args.beta, "beta")
     _check_probability("--t-rel", args.t_rel, "relative tolerance")
     spec = _dilemma_from_args(args)
@@ -261,11 +284,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values)
 
     if args.kind == "pd-alpha":
+        from . import serialize
+        from .pd_tolerant import SWEEPABLE, comparative_statics_sweep
+        from .tolerance import ContinuousCdf
+
         if None in (args.a, args.b, args.c, args.d):
             raise SchemaError("payoffs", "pd-alpha sweeps need --a, --b, --c and --d")
         if args.param not in SWEEPABLE:
             raise SchemaError("flags", f"--param must be one of {SWEEPABLE}")
-        payoffs = PdPayoffs(cc=args.a, cd=args.b, dc=args.c, dd=args.d)
+        payoffs = _payoffs(args)
         dist = serialize.distribution_from_obj(serialize.load_json(args.cdf), args.cdf)
         if not isinstance(dist, ContinuousCdf):
             raise SchemaError(args.cdf, "fixed-point sweeps need a continuous CDF")
@@ -273,6 +300,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [[p.param_value, p.alpha_star, p.branch_id, p.marginal] for p in points]
         _emit(_csv(["param_value", "alpha_star", "branch_id", "marginal_flag"], rows), args.out)
         return 0
+
+    from .dilemmas import RelativeTypeDistribution, cooperation_rate
 
     if args.seed is None:
         raise SchemaError("flags", "rate sweeps draw Monte Carlo samples; --seed is required")

@@ -14,10 +14,11 @@ a linear piece and the kinks of the exact cooperation rates in ``dilemmas``.
 
 ``np`` is the one handle through which the library reaches numpy: every
 module writes ``from .numeric import np``, and numpy is imported at the
-first attribute looked up on it.  So ``import toleq`` and the CLI requests
-that only do scalar work (a threshold, discrete fixed points, a remap, an
-input error) run without loading numpy, which costs more than the
-interpreter's own start.
+first attribute looked up on it.  So the CLI requests that only do scalar
+work (a threshold, discrete fixed points, a remap, an input error) run
+without loading numpy, which costs more than the interpreter's own start.
+``import toleq`` loads not even this module; every CLI request loads it,
+since the command line may set the tolerance.
 """
 
 from __future__ import annotations

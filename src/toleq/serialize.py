@@ -5,7 +5,9 @@ tensor is nested player-major, i.e. payoffs[s1][s2]...[sn] is the per-player
 payoff vector at that pure profile.  Parsing is strict: a number must be a
 JSON number (not a string or a boolean), a count must be an integer, a label
 must be a string, and every failure raises ``SchemaError`` naming the path
-of the offending value.
+of the offending value.  A verdict is built by ``equilibrium``, which is
+imported only when one is read, so reading the other documents does not load
+the verifier.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .equilibrium import EquilibriumVerdict, Violation
 from .games import Game, MixedProfile, MixedStrategy, _check_shape, _strategy_labels
 from .numeric import np
+from .specs import _DILEMMAS, SchemaError
 from .tolerance import (
     ContinuousCdf,
     DiscreteToleranceDist,
@@ -28,13 +30,8 @@ from .tolerance import (
     UniformCdf,
 )
 
-
-class SchemaError(ValueError):
-    """Input file does not match the documented schema."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+if TYPE_CHECKING:
+    from .equilibrium import EquilibriumVerdict
 
 
 def _require(obj: Any, key: str, path: str) -> Any:
@@ -275,6 +272,8 @@ def verdict_to_obj(verdict: EquilibriumVerdict) -> dict:
 
 
 def verdict_from_obj(obj: Any, path: str = "verdict") -> EquilibriumVerdict:
+    from .equilibrium import EquilibriumVerdict, Violation
+
     is_eq = _require(obj, "equilibrium", path)
     if not isinstance(is_eq, bool):
         raise SchemaError(f"{path}.equilibrium", "expected true or false")
@@ -318,8 +317,6 @@ def _witness_map(entries: Any, path: str) -> TypeStrategyMap:
 
 
 def dilemma_spec_to_obj(spec) -> dict:
-    from .dilemmas import _DILEMMAS
-
     kinds = {cls: kind for kind, cls in _DILEMMAS.items()}
     if type(spec) not in kinds:
         raise TypeError(f"unknown dilemma spec {spec!r}")
@@ -327,8 +324,6 @@ def dilemma_spec_to_obj(spec) -> dict:
 
 
 def dilemma_spec_from_obj(obj: Any, path: str = "spec"):
-    from .dilemmas import _DILEMMAS
-
     kind = _require(obj, "kind", path)
     if not isinstance(kind, str) or kind not in _DILEMMAS:
         raise SchemaError(path, f"unknown dilemma kind {kind!r}")

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toleq as tq
 from toleq import serialize
-from toleq.cli import main
+from toleq.cli import _parse_values, main
 
 
 @pytest.fixture
@@ -605,13 +607,35 @@ def test_every_kind_from_flags_spec_file_and_sweeps(kind, tmp_path, capsys):
         assert lines == want
 
 
-@pytest.mark.parametrize("values", ["1:2:0", "2:3:x", "1:2", "", "1,,2"])
+@pytest.mark.parametrize("values", ["1:2:0", "2:3:x", "1:2", "", "1,,2", "nan,1", "1:inf:3", "1e308:-1e308:3"])
 def test_malformed_sweep_values_name_the_flag(values, capsys):
     argv = ["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100",
             "--values", values, "--seed", "1"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: --values: ")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=FINITE, hi=FINITE | st.none(), count=st.integers(1, 40))
+@example(lo=1.5, hi=None, count=4)
+@example(lo=-0.0, hi=None, count=3)
+@example(lo=-0.0, hi=2.0, count=1)
+@example(lo=0.0, hi=1e-323, count=6)  # the step underflows to zero
+@example(lo=-1e308, hi=1e308, count=3)  # the span overflows
+def test_values_range_matches_numpy_linspace(lo, hi, count):
+    hi = lo if hi is None else hi
+    text = f"{lo!r}:{hi!r}:{count}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(lo, hi, count)
+    if np.isfinite(want).all():
+        assert list(map(repr, _parse_values(text))) == list(map(repr, want.tolist()))
+    else:
+        with pytest.raises(serialize.SchemaError, match="^--values: values must be finite"):
+            _parse_values(text)
 
 
 def test_infinite_pd_benefit_is_input_error(capsys):
@@ -644,6 +668,7 @@ def test_spec_file_names_the_dilemma_kind(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("input error: --kind: ")
 
 
+PD_FLAGS = ["--a", "3", "--b", "-1", "--c", "5", "--d", "0"]
 RATE_SWEEP = ["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100", "--values", "2,3",
               "--seed", "1"]
 TD_THRESHOLD = ["threshold", "--kind", "td", "--low", "2", "--high", "100", "--bonus", "2"]
@@ -656,7 +681,14 @@ TD_THRESHOLD = ["threshold", "--kind", "td", "--low", "2", "--high", "100", "--b
     ([*RATE_SWEEP, "--samples", "0"], "--samples"),
     (["threshold", "--kind", "pd", "--benefit", "5", "--cost", "2", "--t-rel", "nan"], "--t-rel"),
     (["threshold", "--kind", "bertrand", "--n", "3", "--low", "2", "--high", "10"], "--beta"),
-], ids=["beta", "beta-point", "q", "samples", "t-rel", "bertrand-without-beta"])
+    (["sweep", "--kind", "pd-alpha", "--param", "delta_c", "--values", "nan,1", *PD_FLAGS, "--cdf", "cdf.json"],
+     "--values"),
+    (["pd-solve", "--a", "nan", "--b", "-1", "--c", "5", "--d", "0", "--cdf", "cdf.json"], "--a"),
+    (["pd-solve", "--a", "3", "--b", "-1", "--c", "5", "--d=-inf", "--cdf", "cdf.json"], "--d"),
+    (["sweep", "--kind", "pd-alpha", "--param", "delta_c", "--values", "1,2", "--a", "3", "--b", "inf",
+      "--c", "5", "--d", "0", "--cdf", "cdf.json"], "--b"),
+], ids=["beta", "beta-point", "q", "samples", "t-rel", "bertrand-without-beta", "sweep-values-nan", "pd-solve-a-nan",
+        "pd-solve-d-inf", "sweep-b-inf"])
 def test_belief_and_sampling_flags_name_themselves(argv, flag, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

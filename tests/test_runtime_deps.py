@@ -2,7 +2,8 @@
 dependency, and anything else an import pulls in is start-up time paid by
 every CLI call.  numpy itself loads only where arrays are: ``import toleq``
 and the CLI requests that do scalar work or fail their input checks start
-without it."""
+without it.  ``import toleq`` loads none of its modules, and each CLI
+request loads only the toleq modules its command runs."""
 
 import ast
 import json
@@ -83,6 +84,8 @@ DOCUMENTS = {
                   "payoffs": [[[3.0, 3.0], [-2.0, 5.0]], [[5.0, -2.0], [0.0, 0.0]]]},
     "profile.json": {"strategies": [[0.5, 0.5], [0.5, 0.5]]},
     "pi.json": {"players": [{"type": "discrete", "support": [0.0, 3.0], "probs": [0.5, 0.5]}] * 2},
+    "uniform.json": {"type": "uniform", "lo": 0.0, "hi": 4.0},
+    "pd.json": {"kind": "pd", "b": 5.0, "c": 2.0},
     "shape.json": {"players": 2, "strategies": [["C", "D"], ["C", "D"]], "payoffs": [[[3.0, 3.0], [-2.0, 5.0]]]},
     "missing.json": {"strategy": [[0.5, 0.5], [0.5, 0.5]]},
     "nan-profile.json": {"strategies": [[float("nan"), float("nan")]] * 2},
@@ -110,6 +113,14 @@ SCALAR_REQUESTS = {
                     "input error: nan-profile.json: non-finite number NaN is not allowed\n"),
     "nan-pi": (["verify", "--game", "game.json", "--profile", "profile.json", "--pi", "nan-pi.json"], 2, "",
                "input error: nan-pi.json: non-finite number NaN is not allowed\n"),
+    "values-not-a-number": (["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100",
+                             "--values", "1:x:3", "--seed", "1"], 2, "",
+                            "input error: --values: expected lo:hi:count (count >= 1) or a list like 1,2,3,"
+                            " got '1:x:3'\n"),
+    "values-count-zero": (["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100",
+                           "--values", "2:4:0", "--seed", "1"], 2, "",
+                          "input error: --values: expected lo:hi:count (count >= 1) or a list like 1,2,3,"
+                          " got '2:4:0'\n"),
 }
 
 
@@ -151,6 +162,100 @@ def test_array_requests_still_run_on_numpy(argv, code, documents):
     got_code, out, err, imported = _run_cli(argv, documents)
     assert (got_code, err) == (code, "") and out
     assert "numpy" in imported
+
+
+# request -> the toleq modules it loads besides the package; the CLI itself
+# runs as __main__
+READ_DOCUMENTS = {"serialize", "specs", "tolerance", "games", "numeric"}
+TOLEQ_MODULES = {
+    "threshold": (SCALAR_REQUESTS["threshold"][0], {"specs", "dilemmas", "games", "numeric"}),
+    "threshold-spec": (["threshold", "--spec", "pd.json"], {"specs", "dilemmas", "games", "numeric", "serialize",
+                                                             "tolerance"}),
+    "verify-input-error": (SCALAR_REQUESTS["missing-field"][0], READ_DOCUMENTS | {"equilibrium"}),
+    "verify": (["verify", "--game", "game.json", "--profile", "profile.json", "--pi", "pi.json"],
+               READ_DOCUMENTS | {"equilibrium"}),
+    "pd-solve-discrete": (SCALAR_REQUESTS["pd-solve-discrete"][0], READ_DOCUMENTS | {"pd_tolerant"}),
+    "pd-solve-continuous": (["pd-solve", *PD, "--cdf", "uniform.json"], READ_DOCUMENTS | {"pd_tolerant"}),
+    "remap": (SCALAR_REQUESTS["remap"][0], READ_DOCUMENTS),
+    "rate-sweep": (["sweep", "--kind", "td", "--param", "bonus", "--low", "2", "--high", "100", "--values", "2,3",
+                    "--seed", "1", "--samples", "100"], {"specs", "dilemmas", "games", "numeric"}),
+    "pd-alpha-sweep": (["sweep", "--kind", "pd-alpha", "--param", "delta_c", "--values", "1.5,2.5", *PD,
+                        "--cdf", "uniform.json"], READ_DOCUMENTS | {"pd_tolerant"}),
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(TOLEQ_MODULES))
+def test_each_request_loads_only_the_modules_its_command_runs(request_name, documents):
+    argv, modules = TOLEQ_MODULES[request_name]
+    _, _, err, imported = _run_cli(argv, documents)
+    assert "Traceback" not in err
+    assert {name for name in imported if name.startswith("toleq.")} == {f"toleq.{m}" for m in modules}
+
+
+# the package's public names, by the module that defines each
+EXPORTS = {
+    "dilemmas": "BertrandCompetition BuiltDilemma CooperationRate DilemmaSpec PrisonersDilemma PublicGoods"
+                " RelativeType RelativeTypeDistribution TravelersDilemma all_cooperate_payoff bertrand_f"
+                " beta_mixture_profile build_game cooperation_rate cooperation_threshold exact_cooperation_rate"
+                " relative_to_absolute will_cooperate",
+    "equilibrium": "EquilibriumVerdict Violation symmetric_alpha_intervals verify_gp_epsilon_nash verify_nash"
+                   " verify_tolerant_equilibrium witness_is_valid",
+    "games": "Game MixedProfile MixedStrategy expected_utility is_consistent regret regrets strategy_utilities",
+    "numeric": "DEFAULT_EPSNUM epsnum set_epsnum",
+    "pd_tolerant": "FixedPointReport FixedPointRoot PdPayoffs SweepPoint as_game comparative_statics_sweep"
+                   " cooperation_probability fixed_point_curve solve_asymmetric solve_discrete solve_symmetric"
+                   " willingness_gap",
+    "tolerance": "ContinuousCdf DiscreteToleranceDist DiscreteToleranceProfile PiecewiseLinearCdf TransportPlan"
+                 " TruncatedExponentialCdf TypeStrategyMap UniformCdf dist_dominates dominance_remap point_mass"
+                 " remap_preserves_mixture stochastically_dominates transport_plan",
+}
+
+
+def _fresh(code: str) -> str:
+    result = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+def test_import_toleq_loads_no_toleq_module():
+    assert {name for name in _loaded_by("import toleq") if name.startswith("toleq")} == {"toleq"}
+
+
+def test_dir_lists_the_re_exports_the_modules_and_the_version():
+    names = sum((names.split() for names in EXPORTS.values()), [])
+    assert len(names) == len(set(names)) == 62
+    listed = _fresh("import toleq; print(' '.join(dir(toleq)))").split()
+    public = {n for n in listed if not n.startswith("_") or n == "__version__"}
+    assert public == {*names, *EXPORTS, "__version__"}
+
+
+def test_every_name_is_its_module_s_object():
+    for module, names in EXPORTS.items():
+        for name in names.split():
+            assert getattr(toleq, name) is getattr(getattr(toleq, module), name), name
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no attribute 'solve_everything'"):
+        toleq.solve_everything  # noqa: B018
+
+
+def test_a_name_is_kept_in_the_package_dict():
+    code = ("import toleq\n"
+            "print('build_game' in vars(toleq))\n"
+            "toleq.build_game\n"
+            "print(vars(toleq)['build_game'] is toleq.dilemmas.build_game, 'equilibrium' in vars(toleq))")
+    assert _fresh(code).split() == ["False", "True", "False"]
+
+
+def test_a_name_keeps_the_object_its_module_loaded_with():
+    # replacing a module attribute after the module loaded, as the benchmark's
+    # spans do while they trace, does not change the package's name
+    code = ("import toleq.dilemmas as d\n"
+            "original = d.build_game\n"
+            "d.build_game = print\n"
+            "import toleq\n"
+            "print(toleq.build_game is original)")
+    assert _fresh(code).split() == ["True"]
 
 
 def _numpy_import_lines(tree: ast.AST) -> set[int]:
