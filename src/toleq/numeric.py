@@ -15,8 +15,9 @@ a linear piece and the kinks of the exact cooperation rates in ``dilemmas``.
 ``np`` is the one handle through which the library reaches numpy: every
 module writes ``from .numeric import np``, and numpy is imported at the
 first attribute looked up on it.  So the CLI requests that only do scalar
-work (a threshold, discrete fixed points, a remap, an input error) run
-without loading numpy, which costs more than the interpreter's own start.
+work (a threshold, fixed points and pd-alpha sweeps but not the ``--out``
+curve of pd-solve, a remap, an input error) run without loading numpy,
+which costs more than the interpreter's own start.
 ``import toleq`` loads not even this module; every CLI request loads it,
 since the command line may set the tolerance.
 """

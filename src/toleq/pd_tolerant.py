@@ -34,15 +34,20 @@ duplicates of discrete solutions.  The CDF families are closed:
 any other ContinuousCdf subclass is rejected with a TypeError.  Discrete
 tolerance distributions give a piecewise-constant response whose pieces are
 checked exactly; there a solution may not exist.
+
+Every solver works on sorted lists of Python floats: a solve evaluates the
+residual at a few breakpoints, where a numpy call costs more than the
+arithmetic it does.  Only ``as_game`` and ``fixed_point_curve``, which build
+arrays, reach numpy.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .games import Game
 from .numeric import _bracketed_root, epsnum, np
@@ -170,19 +175,23 @@ def _knots(cdf: ContinuousCdf) -> tuple[float, ...]:
     )
 
 
-def _linear_crossings(x0, x1, y0, y1, targets) -> np.ndarray:
-    """Points strictly inside each [x0[k], x1[k]] where the line from y0[k]
-    to y1[k] meets one of the targets."""
-    x0, x1, y0, y1 = (np.array(v, dtype=float, ndmin=1) for v in (x0, x1, y0, y1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (np.asarray(targets, dtype=float)[None, :] - y0[:, None]) / (y1 - y0)[:, None]
-    inside = (s > 0.0) & (s < 1.0)
-    return (x0[:, None] + s * (x1 - x0)[:, None])[inside]
+def _linear_crossings(xs, ys, targets) -> list[float]:
+    """Points strictly inside each segment [xs[k], xs[k + 1]] of the polyline
+    through (xs, ys) at which the segment meets one of the targets."""
+    crossings = []
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if y1 == y0:  # a flat segment meets a target at its ends or nowhere inside
+            continue
+        for t in targets:
+            s = (t - y0) / (y1 - y0)
+            if 0.0 < s < 1.0:
+                crossings.append(x0 + s * (x1 - x0))
+    return crossings
 
 
-def _breakpoints(p: PdPayoffs, knots) -> np.ndarray:
-    """0, 1 and every alpha between at which gap(alpha) crosses a knot."""
-    return np.union1d([0.0, 1.0], _linear_crossings(0.0, 1.0, p.delta_d, p.delta_c, knots))
+def _breakpoints(p: PdPayoffs, knots) -> list[float]:
+    """0, 1 and every alpha between at which gap(alpha) crosses a knot, sorted."""
+    return sorted({0.0, 1.0, *_linear_crossings((0.0, 1.0), (p.delta_d, p.delta_c), knots)})
 
 
 def _texp_alpha_at_density(p: PdPayoffs, cdf: TruncatedExponentialCdf, density: float) -> list[float]:
@@ -210,7 +219,7 @@ def _texp_minimum(p: PdPayoffs, cdf: TruncatedExponentialCdf) -> list[float]:
 def _density_on_piece(cdf: ContinuousCdf, x: float):
     """F' on the piece of F that holds x, as a function on that closed piece."""
     knots = _knots(cdf)
-    k = int(np.searchsorted(knots, x, side="right"))
+    k = bisect_right(knots, x)
     if not 0 < k < len(knots):
         return lambda y: 0.0
     if isinstance(cdf, TruncatedExponentialCdf):
@@ -220,7 +229,7 @@ def _density_on_piece(cdf: ContinuousCdf, x: float):
     return lambda y: slope
 
 
-def _with_critical_points(p1, p2, cdf1, cdf2, respond2, points: np.ndarray) -> np.ndarray:
+def _with_critical_points(p1, p2, cdf1, cdf2, respond2, points: list[float]) -> list[float]:
     """Sorted points, inside whose cells both F keep one form, plus the
     critical points of phi = R1(R2(a)) - a between them.
 
@@ -236,9 +245,9 @@ def _with_critical_points(p1, p2, cdf1, cdf2, respond2, points: np.ndarray) -> n
     k1, k2 = p1.delta_c - p1.delta_d, p2.delta_c - p2.delta_d
     both_texp = isinstance(cdf1, TruncatedExponentialCdf) and isinstance(cdf2, TruncatedExponentialCdf)
     if both_texp and k1 * k2 > 0:
-        points = np.union1d(points, _texp_alpha_at_density(p2, cdf2, cdf2.rate / (cdf1.rate * k1)))
+        points = sorted({*points, *_texp_alpha_at_density(p2, cdf2, cdf2.rate / (cdf1.rate * k1))})
     critical = []
-    for a, b in zip(points[:-1].tolist(), points[1:].tolist()):
+    for a, b in zip(points, points[1:]):
         mid = 0.5 * (a + b)
         f1 = _density_on_piece(cdf1, _gap(p1, respond2(mid)))
         f2 = _density_on_piece(cdf2, _gap(p2, mid))
@@ -249,7 +258,7 @@ def _with_critical_points(p1, p2, cdf1, cdf2, respond2, points: np.ndarray) -> n
         d_a, d_b = dphi(a), dphi(b)
         if d_a * d_b < 0:
             critical.append(_bracketed_root(dphi, a, b, d_a, d_b))
-    return np.union1d(points, critical)
+    return sorted({*points, *critical})
 
 
 def _line_solver(fn):
@@ -266,7 +275,7 @@ def _line_solver(fn):
     return solve
 
 
-def _roots_on_pieces(points: np.ndarray, values: np.ndarray, fn, solve_piece) -> list[FixedPointRoot]:
+def _roots_on_pieces(points: list[float], fn, solve_piece) -> list[FixedPointRoot]:
     """Roots of fn from its values at sorted points, fn monotone between them.
 
     A point with |fn| <= _ROOT_RESIDUAL is a root.  A maximal run of such
@@ -276,26 +285,25 @@ def _roots_on_pieces(points: np.ndarray, values: np.ndarray, fn, solve_piece) ->
     have opposite signs holds one root, found by
     solve_piece(a, b, fn(a), fn(b)).
     """
-    zero = np.abs(values) <= _ROOT_RESIDUAL
-    positive = values > 0.0
+    values = [fn(a) for a in points]
+    zero = [abs(v) <= _ROOT_RESIDUAL for v in values]
+    positive = [v > 0.0 for v in values]
     last = len(points) - 1
     roots: list[FixedPointRoot] = []
-    starts = np.flatnonzero(zero & ~np.concatenate(([False], zero[:-1])))
-    ends = np.flatnonzero(zero & ~np.concatenate((zero[1:], [False])))
-    for s, e in zip(starts, ends):
-        marginal = bool(0 < s and e < last and positive[s - 1] == positive[e + 1])
-        bracket = (float(points[s]), float(points[e]))
-        for k in (s, e) if e > s else (s,):
-            roots.append(FixedPointRoot(float(points[k]), bracket, abs(float(values[k])), marginal))
-    cells = np.flatnonzero(~zero[:-1] & ~zero[1:] & (positive[:-1] != positive[1:]))
-    inside = [
-        solve_piece(float(points[k]), float(points[k + 1]), float(values[k]), float(values[k + 1]))
-        for k in cells
-    ]
-    if inside:
-        residuals = np.abs(fn(np.array(inside)))
-        for k, root, residual in zip(cells, inside, residuals):
-            roots.append(FixedPointRoot(root, (float(points[k]), float(points[k + 1])), float(residual)))
+    start = 0
+    for is_zero, run in groupby(zero):
+        end = start + len(list(run)) - 1
+        if is_zero:
+            marginal = 0 < start and end < last and positive[start - 1] == positive[end + 1]
+            bracket = (points[start], points[end])
+            for k in (start, end) if end > start else (start,):
+                roots.append(FixedPointRoot(points[k], bracket, abs(values[k]), marginal))
+        start = end + 1
+    for k in range(last):
+        if not (zero[k] or zero[k + 1]) and positive[k] != positive[k + 1]:
+            a, b = points[k], points[k + 1]
+            root = solve_piece(a, b, values[k], values[k + 1])
+            roots.append(FixedPointRoot(root, (a, b), abs(fn(root))))
     return sorted(roots, key=lambda r: r.alpha_star)
 
 
@@ -314,10 +322,10 @@ def solve_symmetric(p: PdPayoffs, cdf: ContinuousCdf) -> FixedPointReport:
         return 1.0 - alpha - cdf(_gap(p, alpha))
 
     if isinstance(cdf, TruncatedExponentialCdf):
-        points = np.union1d(points, _texp_minimum(p, cdf))
-        roots = _roots_on_pieces(points, h(points), h, partial(_bracketed_root, h))
+        points = sorted({*points, *_texp_minimum(p, cdf)})
+        roots = _roots_on_pieces(points, h, partial(_bracketed_root, h))
     else:
-        roots = _roots_on_pieces(points, h(points), h, _line_solver(h))
+        roots = _roots_on_pieces(points, h, _line_solver(h))
     return FixedPointReport(
         roots=tuple(roots),
         has_zero_root=cdf(p.delta_d) >= 1.0 - epsnum(),
@@ -415,21 +423,20 @@ def solve_asymmetric(
         return respond1(respond2(alpha1)) - alpha1
 
     points = _breakpoints(p2, knots2)
-    targets = _linear_crossings(0.0, 1.0, p1.delta_d, p1.delta_c, knots1)
+    targets = _linear_crossings((0.0, 1.0), (p1.delta_d, p1.delta_c), knots1)
     if isinstance(cdf2, TruncatedExponentialCdf):
         # R2 = 1 - u where gap2 is the quantile shift - log1p(-u (1 - e^(-rate cap))) / rate
         norm = -math.expm1(-cdf2.rate * cdf2.cap)
-        quantiles = cdf2.shift - np.log1p(-(1.0 - targets) * norm) / cdf2.rate
-        preimages = _linear_crossings(0.0, 1.0, p2.delta_d, p2.delta_c, quantiles)
+        quantiles = [cdf2.shift - math.log1p(-(1.0 - t) * norm) / cdf2.rate for t in targets]
+        preimages = _linear_crossings((0.0, 1.0), (p2.delta_d, p2.delta_c), quantiles)
     else:
-        r2 = respond2(points)
-        preimages = _linear_crossings(points[:-1], points[1:], r2[:-1], r2[1:], targets)
-    points = np.union1d(points, preimages)
+        preimages = _linear_crossings(points, [respond2(a) for a in points], targets)
+    points = sorted({*points, *preimages})
     if isinstance(cdf1, TruncatedExponentialCdf) or isinstance(cdf2, TruncatedExponentialCdf):
         points = _with_critical_points(p1, p2, cdf1, cdf2, respond2, points)
-        roots = _roots_on_pieces(points, phi(points), phi, partial(_bracketed_root, phi))
+        roots = _roots_on_pieces(points, phi, partial(_bracketed_root, phi))
     else:
-        roots = _roots_on_pieces(points, phi(points), phi, _line_solver(phi))
+        roots = _roots_on_pieces(points, phi, _line_solver(phi))
     return [(r.alpha_star, respond2(r.alpha_star)) for r in roots]
 
 

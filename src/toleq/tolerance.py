@@ -319,22 +319,34 @@ def remap_preserves_mixture(
 class ContinuousCdf:
     """Base for the continuous tolerance CDF families used by the PD analysis.
 
-    Subclasses are immutable, evaluate on scalars or arrays, are continuous
-    everywhere, satisfy F(x) = 0 left of their domain and F(inf) = 1, and are
-    closed under rightward shift.  They clamp with np.minimum and np.maximum:
-    on the 0-d arrays of a root search, np.clip costs about twice as much.
+    Subclasses are immutable, are continuous everywhere, satisfy F(x) = 0 left
+    of their domain and F(inf) = 1, and are closed under rightward shift.
+    Each family defines one evaluation, ``_evaluate``, on a Python float; a
+    fixed-point solve evaluates F at a few breakpoints, where a numpy call
+    costs more than the arithmetic it does.  ``__call__`` is defined here
+    only, so that one wrapper around it sees every evaluation: it returns a
+    float for a number and maps an array elementwise.
     """
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _evaluate(self, x: float) -> float:
         raise NotImplementedError
 
     def __call__(self, x):
+        if isinstance(x, (float, int)):
+            return self._evaluate(float(x))
         arr = np.asarray(x, dtype=float)
-        out = self._evaluate(arr)
-        return float(out) if arr.ndim == 0 else out
+        if arr.ndim == 0:
+            return self._evaluate(float(arr))
+        return np.fromiter(map(self._evaluate, arr.ravel().tolist()), float, arr.size).reshape(arr.shape)
 
     def shifted(self, delta: float) -> "ContinuousCdf":
         raise NotImplementedError
+
+
+def _clamp01(t: float) -> float:
+    """t clamped to [0, 1] as ``np.minimum(np.maximum(t, 0.0), 1.0)`` clamps
+    it: a NaN stays NaN and -0.0 becomes 0.0."""
+    return 0.0 if t <= 0.0 else min(t, 1.0)
 
 
 def _check_finite(*values: float) -> None:
@@ -361,8 +373,8 @@ class UniformCdf(ContinuousCdf):
         if not (0 <= self.lo < self.hi):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+    def _evaluate(self, x: float) -> float:
+        return _clamp01((x - self.lo) / (self.hi - self.lo))
 
     def shifted(self, delta: float) -> "UniformCdf":
         delta = _check_shift(delta)
@@ -393,8 +405,20 @@ class PiecewiseLinearCdf(ContinuousCdf):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(x, self.xs, self.ys)
+    def _evaluate(self, x: float) -> float:
+        """``np.interp(x, xs, ys)``: its knot search and its formula."""
+        xs, ys = self.xs, self.ys
+        if x != x:
+            return x
+        j = bisect_right(xs, x) - 1
+        if j < 0:
+            return ys[0]
+        if j == len(xs) - 1 or xs[j] == x:
+            return ys[j]
+        # finite knots, and x strictly inside the piece: never NaN, so
+        # np.interp's retry from the right end is never taken
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (x - xs[j]) + ys[j]
 
     def shifted(self, delta: float) -> "PiecewiseLinearCdf":
         delta = _check_shift(delta)
@@ -414,10 +438,10 @@ class TruncatedExponentialCdf(ContinuousCdf):
         if self.rate <= 0 or self.cap <= 0 or self.shift < 0:
             raise ValueError("need rate > 0, cap > 0, shift >= 0")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        z = np.minimum(np.maximum(x - self.shift, 0.0), self.cap)
-        ratio = -np.expm1(-self.rate * z) / -math.expm1(-self.rate * self.cap)
-        return np.minimum(np.maximum(ratio, 0.0), 1.0)
+    def _evaluate(self, x: float) -> float:
+        z = x - self.shift
+        z = 0.0 if z <= 0.0 else min(z, self.cap)
+        return _clamp01(-math.expm1(-self.rate * z) / -math.expm1(-self.rate * self.cap))
 
     def shifted(self, delta: float) -> "TruncatedExponentialCdf":
         delta = _check_shift(delta)

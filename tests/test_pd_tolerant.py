@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import toleq as tq
 from toleq import numeric, pd_tolerant
 from toleq.pd_tolerant import as_game
-from toleq_oracles import bisect_root, reference_solve_discrete, scan_and_bisect_roots
+from toleq_oracles import (
+    bisect_root,
+    reference_cdf,
+    reference_solve_asymmetric,
+    reference_solve_discrete,
+    reference_solve_symmetric,
+    scan_and_bisect_roots,
+)
 
 EXAMPLE = tq.PdPayoffs(cc=3, cd=-1, dc=5, dd=0)  # delta_c = 2, delta_d = 1
 
@@ -337,7 +344,14 @@ DENSE = np.linspace(0.0, 1.0, 200_001)
 
 
 def residual_fn(p, cdf):
-    return lambda a: 1.0 - a - cdf(a * p.delta_c + (1.0 - a) * p.delta_d)
+    # F from the numpy oracle: one array call scans the dense grid, where the
+    # library's elementwise map would make 200,001 scalar calls
+    F = reference_cdf(cdf)
+    return lambda a: 1.0 - a - F(a * p.delta_c + (1.0 - a) * p.delta_d)
+
+
+def respond(p, cdf, a):
+    return 1.0 - reference_cdf(cdf)(a * p.delta_c + (1.0 - a) * p.delta_d)
 
 
 def random_payoffs(rng, delta_c, delta_d):
@@ -507,10 +521,6 @@ def test_exact_asymmetric_pairs_solve_both_responses(seed, steep):
     (p1, f1), (p2, f2) = players
     pairs = tq.solve_asymmetric(p1, p2, f1, f2)
     assert pairs
-
-    def respond(p, cdf, a):
-        return 1.0 - cdf(a * p.delta_c + (1.0 - a) * p.delta_d)
-
     for a1, a2 in pairs:
         assert a1 == pytest.approx(respond(p1, f1, a2), abs=1e-9)
         assert a2 == pytest.approx(respond(p2, f2, a1), abs=1e-9)
@@ -535,10 +545,6 @@ def test_asymmetric_texp_pairs_solve_both_responses(seed, texp_sides):
     (p1, f1), (p2, f2) = players
     pairs = tq.solve_asymmetric(p1, p2, f1, f2)
     assert pairs
-
-    def respond(p, cdf, a):
-        return 1.0 - cdf(a * p.delta_c + (1.0 - a) * p.delta_d)
-
     for a1, a2 in pairs:
         assert a1 == pytest.approx(respond(p1, f1, a2), abs=1e-9)
         assert a2 == pytest.approx(respond(p2, f2, a1), abs=1e-9)
@@ -551,6 +557,64 @@ def test_asymmetric_texp_pairs_solve_both_responses(seed, texp_sides):
             a1 == pytest.approx(root.alpha_star, abs=1e-9) and a2 == pytest.approx(root.alpha_star, abs=1e-9)
             for a1, a2 in diagonal
         )
+
+
+@pytest.mark.parametrize("p, cdf", [
+    (TANGENT_PAYOFFS, TANGENT_CDF), (MULTI_PAYOFFS, ZERO_PIECE_CDF), (MULTI_PAYOFFS, MULTI_CDF),
+    (EXAMPLE, tq.UniformCdf(0, 4)), (EXAMPLE, tq.UniformCdf(0, 1)),
+], ids=["tangent", "zero-piece", "three-roots", "uniform", "zero-root"])
+def test_reports_on_hand_built_instances_match_the_numpy_reference(p, cdf):
+    assert repr(tq.solve_symmetric(p, cdf)) == repr(reference_solve_symmetric(p, cdf))
+    assert repr(tq.solve_asymmetric(p, p, cdf, cdf)) == repr(reference_solve_asymmetric(p, p, cdf, cdf)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_reports_match_the_numpy_reference(seed, steep):
+    # uniform and piecewise-linear F: the plain-float solvers do the numpy
+    # code's operations on the same floats, so every report is repr-identical
+    rng = np.random.default_rng(seed)
+    players = []
+    for _ in range(2):
+        delta_c, delta_d = sorted(rng.uniform(0.3, 3.5, size=2)) if steep else rng.uniform(0.2, 4.0, size=2)
+        p = random_payoffs(rng, float(delta_c), float(delta_d))
+        players.append((p, random_piecewise_linear(rng, p, steep)))
+    (p1, f1), (p2, f2) = players
+    assert repr(tq.solve_symmetric(p1, f1)) == repr(reference_solve_symmetric(p1, f1))
+    assert repr(tq.solve_asymmetric(p1, p2, f1, f2)) == repr(reference_solve_asymmetric(p1, p2, f1, f2)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([(True, False), (False, True), (True, True)]))
+def test_texp_roots_match_the_numpy_reference(seed, texp_sides):
+    # math.expm1 and math.log1p round differently from numpy's in the last
+    # bit, so a truncated-exponential root may move: a symmetric one by at
+    # most 1e-14
+    rng = np.random.default_rng(seed)
+    players = []
+    for texp in texp_sides:
+        delta_c, delta_d = rng.uniform(0.2, 4.0, size=2)
+        p = random_payoffs(rng, float(delta_c), float(delta_d))
+        players.append((p, random_texp(rng) if texp else random_piecewise_linear(rng, p, bool(rng.integers(2)))))
+    (p1, f1), (p2, f2) = players
+    p, cdf = players[0] if texp_sides[0] else players[1]
+    got, want = tq.solve_symmetric(p, cdf), reference_solve_symmetric(p, cdf)
+    assert got.roots and len(got.roots) == len(want.roots)
+    for ours, theirs in zip(got.roots, want.roots):
+        assert abs(ours.alpha_star - theirs.alpha_star) <= 1e-14
+        assert ours.bracket == pytest.approx(theirs.bracket, abs=1e-14)
+        assert ours.residual == pytest.approx(theirs.residual, abs=1e-14)
+        assert ours.marginal == theirs.marginal
+    assert (got.has_zero_root, got.uniqueness_certified, got.classification) == (
+        want.has_zero_root, want.uniqueness_certified, want.classification)
+    # phi = R1(R2(a)) - a can be flat at a root, where a last-bit change in F
+    # moves the root by that change over the slope: up to 2.9e-14 in 12,000
+    # instances.  alpha2 = R2(alpha1) can be steep, so only alpha1 is compared
+    pairs, (_, reference_pairs) = tq.solve_asymmetric(p1, p2, f1, f2), reference_solve_asymmetric(p1, p2, f1, f2)
+    assert pairs and len(pairs) == len(reference_pairs)
+    for (a1, a2), (b1, _) in zip(pairs, reference_pairs):
+        assert abs(a1 - b1) <= 1e-12
+        assert a2 == 1.0 - f2(tq.willingness_gap(p2, a1))
 
 
 def test_bracketed_roots_match_bisection_in_few_evaluations(monkeypatch):

@@ -85,6 +85,8 @@ DOCUMENTS = {
     "profile.json": {"strategies": [[0.5, 0.5], [0.5, 0.5]]},
     "pi.json": {"players": [{"type": "discrete", "support": [0.0, 3.0], "probs": [0.5, 0.5]}] * 2},
     "uniform.json": {"type": "uniform", "lo": 0.0, "hi": 4.0},
+    "pl.json": {"type": "piecewise_linear", "knots": [[0.0, 0.0], [1.2, 0.1], [1.5, 0.6], [3.0, 1.0]]},
+    "texp.json": {"type": "truncated_exponential", "rate": 1.5, "cap": 3.0, "shift": 0.2},
     "pd.json": {"kind": "pd", "b": 5.0, "c": 2.0},
     "shape.json": {"players": 2, "strategies": [["C", "D"], ["C", "D"]], "payoffs": [[[3.0, 3.0], [-2.0, 5.0]]]},
     "missing.json": {"strategy": [[0.5, 0.5], [0.5, 0.5]]},
@@ -92,14 +94,33 @@ DOCUMENTS = {
     "nan-pi.json": {"players": [{"type": "discrete", "support": [0.0, float("nan")], "probs": [0.5, 0.5]}] * 2},
 }
 PD = ["--a", "3", "--b", "-1", "--c", "5", "--d", "0"]
+MULTI_PD = ["--a", "2", "--b", "-1.5", "--c", "3", "--d", "0.5"]  # delta_c < delta_d
 REMAPPED = {"support": [0.5, 2.0, 3.0], "strategies": [[0.25, 0.75, 0.0], [0.375, 0.5, 0.125], [0.0, 0.0, 1.0]]}
 
 # request -> (argv, exit code, stdout, stderr), the output pinned as it was
-# when every request still loaded numpy
+# when every request still loaded numpy (the truncated-exponential root
+# apart)
 SCALAR_REQUESTS = {
     "threshold": (["threshold", "--kind", "bertrand", "--n", "3", "--low", "2", "--high", "30", "--beta", "0.75",
                    "--t-rel", "0.25"], 1, "threshold: 10.6875\nabsolute_tolerance: 2.5\nwill_cooperate: no\n", ""),
     "pd-solve-discrete": (["pd-solve", *PD, "--cdf", "discrete.json"], 0, "alpha_star: 0.5\n", ""),
+    "pd-solve-uniform": (["pd-solve", *PD, "--cdf", "uniform.json"], 0,
+                         "classification: unique\nhas_zero_root: no\nuniqueness_certified: yes\n"
+                         "alpha_star: 0.6 residual 0.0\n", ""),
+    "pd-solve-piecewise-linear": (["pd-solve", *MULTI_PD, "--cdf", "pl.json"], 0,
+                                  "classification: possibly-multiple\nhas_zero_root: no\n"
+                                  "uniqueness_certified: no\n"
+                                  "alpha_star: 0.36363636363636354 residual 1.1102230246251565e-16\n"
+                                  "alpha_star: 0.6500000000000004 residual 1.6653345369377348e-16\n"
+                                  "alpha_star: 0.9090909090909091 residual 2.7755575615628914e-17\n", ""),
+    # math.expm1 rounds differently from numpy's, which printed 0.2107828200307703
+    "pd-solve-truncated-exponential": (["pd-solve", *PD, "--cdf", "texp.json"], 0,
+                                       "classification: unique\nhas_zero_root: no\nuniqueness_certified: yes\n"
+                                       "alpha_star: 0.21078282003077034 residual 0.0\n", ""),
+    "sweep-pd-alpha": (["sweep", "--kind", "pd-alpha", "--param", "delta_c", "--values", "1.5,2.5", *PD,
+                        "--cdf", "uniform.json"], 0,
+                       "param_value,alpha_star,branch_id,marginal_flag\n1.5,0.6666666666666666,0,0\n"
+                       "2.5,0.5454545454545454,0,0\n", ""),
     "remap": (["remap", "--pi", "lo.json", "--pi-prime", "hi.json", "--g", "g.json"], 0,
               json.dumps(REMAPPED, indent=2) + "\n", ""),
     "unknown-cdf-type": (["pd-solve", *PD, "--cdf", "gaussian.json"], 2, "",
@@ -161,6 +182,22 @@ def test_scalar_requests_and_input_errors_do_not_load_numpy(request_name, docume
 def test_array_requests_still_run_on_numpy(argv, code, documents):
     got_code, out, err, imported = _run_cli(argv, documents)
     assert (got_code, err) == (code, "") and out
+    assert "numpy" in imported
+
+
+def test_pd_solve_out_still_writes_the_curve(documents):
+    # the curve is the one continuous pd-solve output that is an array
+    argv = ["pd-solve", *PD, "--cdf", "pl.json", "--grid", "4", "--out", "curve.csv"]
+    got_code, out, err, imported = _run_cli(argv, documents)
+    assert (got_code, err) == (0, "") and out.endswith("alpha_star: 0.4625000000000001 residual 0.0\n")
+    assert (documents / "curve.csv").read_text(encoding="utf-8").splitlines() == [
+        "alpha,lhs,rhs",
+        "0.0,1.0,0.08333333333333334",
+        "0.25,0.75,0.1833333333333334",
+        "0.5,0.5,0.6",
+        "0.75,0.25,0.6666666666666666",
+        "1.0,0.0,0.7333333333333333",
+    ]
     assert "numpy" in imported
 
 

@@ -14,6 +14,7 @@ from toleq_oracles import (
     random_map,
     reference_dist_dominates,
     reference_dominance_remap,
+    reference_evaluate,
     reference_quantile_coupling,
     reference_remap_preserves_mixture,
     with_light_atoms,
@@ -339,6 +340,80 @@ def test_cdf_families_are_proper_cdfs(seed):
         moved = cdf.shifted(delta)
         probe = float(rng.uniform(0, 10))
         assert moved(probe + delta) == pytest.approx(cdf(probe), abs=1e-12)
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """How many floats lie between a and b, plus one; 0 when equal."""
+    if a == b:
+        return 0
+    steps, x = 0, min(a, b)
+    while x < max(a, b) and steps < 10:
+        x = math.nextafter(x, math.inf)
+        steps += 1
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 5.0), st.floats(0.01, 5.0),
+    st.lists(st.floats(0.0, 10.0), min_size=2, max_size=7, unique=True), st.lists(st.floats(0.0, 1.0), max_size=5),
+    st.floats(0.01, 8.0), st.floats(0.01, 8.0), st.floats(0.0, 3.0),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+)
+def test_cdf_values_match_the_numpy_evaluation(lo, width, xs, ys, rate, cap, shift, points):
+    # uniform and piecewise-linear: the same operations on the same floats,
+    # with np.interp's knot search; truncated exponential: math.expm1 in
+    # place of numpy's, whose results differ by at most one unit in the last
+    # place, so their quotient F by at most two
+    xs = sorted(xs)
+    ys = [0.0, *sorted(ys)[: len(xs) - 2], 1.0]
+    xs = xs[: len(ys)]
+    ys = ys[: len(xs)]
+    families = [tq.UniformCdf(lo, lo + width), tq.PiecewiseLinearCdf(tuple(xs), tuple(ys))]
+    texp = tq.TruncatedExponentialCdf(rate, cap, shift)
+    knots = [lo, lo + width, *xs, shift, shift + cap]
+    for x in [*points, *knots, *(math.nextafter(k, math.inf) for k in knots), -0.0, math.inf, -math.inf, math.nan]:
+        with np.errstate(over="ignore"):  # numpy warns where a huge x overflows to inf
+            want = [float(reference_evaluate(cdf, np.asarray(x))) for cdf in (*families, texp)]
+        for cdf, value in zip(families, want):
+            assert repr(cdf(x)) == repr(value), (cdf, x)
+        got, want = texp(x), want[-1]
+        assert math.isnan(got) == math.isnan(want)
+        assert math.isnan(got) or ulps_apart(got, want) <= 2, (texp, x, got, want)
+
+
+def test_cdf_returns_a_float_for_a_number_and_maps_arrays_elementwise():
+    families = [
+        tq.UniformCdf(0.0, 4.0),
+        tq.PiecewiseLinearCdf((0.0, 1.0, 2.0), (0.0, 0.8, 1.0)),
+        tq.TruncatedExponentialCdf(1.5, 3.0, 0.2),
+    ]
+    grid = np.linspace(-1.0, 5.0, 12).reshape(3, 4)
+    for cdf in families:
+        for x in (1, 1.5, np.float64(1.5), np.array(1.5)):
+            assert type(cdf(x)) is float and cdf(x) == cdf(float(x))
+        values = cdf(grid)
+        assert values.shape == grid.shape and values.dtype == float
+        assert values.tolist() == [[cdf(x) for x in row] for row in grid.tolist()]
+        assert cdf([0.5, 2.5]).tolist() == [cdf(0.5), cdf(2.5)]
+        assert cdf(np.array([])).shape == (0,)
+
+
+def _families(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _families(sub)
+
+
+def test_only_the_base_class_defines_call():
+    # the benchmark's spans wrap ContinuousCdf.__call__ to count CDF calls
+    # and points; a family with its own __call__ would bypass the wrapper
+    assert "__call__" in vars(tq.ContinuousCdf)
+    families = list(_families(tq.ContinuousCdf))
+    assert {tq.UniformCdf, tq.PiecewiseLinearCdf, tq.TruncatedExponentialCdf} <= set(families)
+    for family in families:
+        assert "__call__" not in vars(family), family.__name__
+        assert "_evaluate" in vars(family), family.__name__
 
 
 @pytest.mark.parametrize("position", range(3))

@@ -5,8 +5,9 @@ utilities are plain loops over pure profiles, feasibility goes through an
 integer max-flow, the first failed threshold inequality is found by plain
 loops over atoms and strategies, the Bertrand share factor is enumerated
 outcome by outcome, fixed-point roots come from a grid scan with plain
-bisection, discrete fixed points, the per-player verifier check and the
-quantile coupling from the numpy code that the plain-float code replaced,
+bisection, discrete fixed points, continuous CDF values and exact
+continuous fixed points, the per-player verifier check and the quantile
+coupling from the numpy code that the plain-float code replaced,
 dominance from one ``cdf`` call per atom, and Monte Carlo cooperation rates
 from the whole-array sampler that the blocked one replaced, thresholds from
 the ``numpy.polynomial`` code that the Horner one replaced, exact rates from
@@ -18,15 +19,25 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as poly
+from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 import toleq as tq
-from toleq.numeric import epsnum
+from toleq.numeric import _bracketed_root, epsnum
+from toleq.pd_tolerant import (
+    _ROOT_RESIDUAL,
+    _gap,
+    _knots,
+    _line_solver,
+    _texp_alpha_at_density,
+    _texp_minimum,
+)
 
 MASS_UNITS = 24  # all random masses are multiples of 1/24, so flow is exact
 
@@ -103,6 +114,44 @@ def reference_violation(game, profile, pi, eps=1e-9):
             if needed > room + eps:
                 return player, t, needed - room, None
     return None
+
+
+def witness_exists(game, profile, pi, base, margin=0.99, eps=1e-9):
+    """Whether some witness keeps every mixture entry within margin * eps of
+    the profile, each type playing a strategy above its tolerance with
+    probability at most margin * eps, by a linear program per player.
+
+    The program is in the deviations from the assignment ``base`` (a witness
+    map per player), in units of eps, so that the solver's tolerances, about
+    1e-7 of a unit, stay far below eps.
+    """
+    bound = margin * eps
+    for player in range(game.num_players):
+        regret_vec = tq.regrets(game, profile, player)
+        sigma = np.asarray(profile[player].probs)
+        dist = pi[player]
+        n, k = len(dist.support), len(sigma)
+        x0 = np.array([np.asarray(g.probs) * p for g, p in zip(base[player].strategies, dist.probs)])
+        rows = np.kron(np.eye(n), np.ones(k))
+        cols = np.kron(np.ones(n), np.eye(k))
+        bounds = [
+            (-x0[j, s] / eps, None if regret_vec[s] <= t + eps else (dist.probs[j] * bound - x0[j, s]) / eps)
+            for j, t in enumerate(dist.support)
+            for s in range(k)
+        ]
+        mixture = x0.sum(axis=0)
+        result = linprog(
+            np.zeros(n * k),
+            A_ub=np.vstack([cols, -cols]),
+            b_ub=np.concatenate([(sigma + bound - mixture) / eps, (mixture - sigma + bound) / eps]),
+            A_eq=rows,
+            b_eq=(np.asarray(dist.probs) - x0.sum(axis=1)) / eps,
+            bounds=bounds,
+            method="highs",
+        )
+        if result.status != 0:
+            return False
+    return True
 
 
 def is_standard_epsilon_nash(game, profile, epsilon, tol=1e-12):
@@ -200,6 +249,160 @@ def reference_solve_discrete(p, pi):
         if not deduped or s - deduped[-1] > e:
             deduped.append(min(max(s, 0.0), 1.0))
     return deduped
+
+
+def reference_evaluate(cdf, x):
+    """The numpy ``_evaluate`` of each shipped CDF family that the plain-float
+    ones replaced, kept verbatim, on an array x."""
+    if isinstance(cdf, tq.UniformCdf):
+        return np.minimum(np.maximum((x - cdf.lo) / (cdf.hi - cdf.lo), 0.0), 1.0)
+    if isinstance(cdf, tq.PiecewiseLinearCdf):
+        return np.interp(x, cdf.xs, cdf.ys)
+    z = np.minimum(np.maximum(x - cdf.shift, 0.0), cdf.cap)
+    ratio = -np.expm1(-cdf.rate * z) / -math.expm1(-cdf.rate * cdf.cap)
+    return np.minimum(np.maximum(ratio, 0.0), 1.0)
+
+
+def reference_cdf(cdf):
+    """F as ``ContinuousCdf.__call__`` evaluated it with the numpy
+    ``_evaluate``: a float for a scalar, an array for an array."""
+
+    def call(x):
+        arr = np.asarray(x, dtype=float)
+        out = reference_evaluate(cdf, arr)
+        return float(out) if arr.ndim == 0 else out
+
+    return call
+
+
+def reference_linear_crossings(x0, x1, y0, y1, targets) -> np.ndarray:
+    """The numpy ``pd_tolerant._linear_crossings`` that the segment loop
+    replaced, kept verbatim."""
+    x0, x1, y0, y1 = (np.array(v, dtype=float, ndmin=1) for v in (x0, x1, y0, y1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (np.asarray(targets, dtype=float)[None, :] - y0[:, None]) / (y1 - y0)[:, None]
+    inside = (s > 0.0) & (s < 1.0)
+    return (x0[:, None] + s * (x1 - x0)[:, None])[inside]
+
+
+def reference_breakpoints(p, knots) -> np.ndarray:
+    """The numpy ``pd_tolerant._breakpoints``, kept verbatim."""
+    return np.union1d([0.0, 1.0], reference_linear_crossings(0.0, 1.0, p.delta_d, p.delta_c, knots))
+
+
+def _reference_density_on_piece(cdf, x: float):
+    knots = _knots(cdf)
+    k = int(np.searchsorted(knots, x, side="right"))
+    if not 0 < k < len(knots):
+        return lambda y: 0.0
+    if isinstance(cdf, tq.TruncatedExponentialCdf):
+        scale = cdf.rate / -math.expm1(-cdf.rate * cdf.cap)
+        return lambda y: scale * math.exp(-cdf.rate * (y - cdf.shift))
+    F = reference_cdf(cdf)
+    slope = (F(knots[k]) - F(knots[k - 1])) / (knots[k] - knots[k - 1])
+    return lambda y: slope
+
+
+def _reference_with_critical_points(p1, p2, cdf1, cdf2, respond2, points: np.ndarray) -> np.ndarray:
+    k1, k2 = p1.delta_c - p1.delta_d, p2.delta_c - p2.delta_d
+    both_texp = isinstance(cdf1, tq.TruncatedExponentialCdf) and isinstance(cdf2, tq.TruncatedExponentialCdf)
+    if both_texp and k1 * k2 > 0:
+        points = np.union1d(points, _texp_alpha_at_density(p2, cdf2, cdf2.rate / (cdf1.rate * k1)))
+    critical = []
+    for a, b in zip(points[:-1].tolist(), points[1:].tolist()):
+        mid = 0.5 * (a + b)
+        f1 = _reference_density_on_piece(cdf1, _gap(p1, respond2(mid)))
+        f2 = _reference_density_on_piece(cdf2, _gap(p2, mid))
+
+        def dphi(alpha):
+            return k1 * k2 * f1(_gap(p1, respond2(alpha))) * f2(_gap(p2, alpha)) - 1.0
+
+        d_a, d_b = dphi(a), dphi(b)
+        if d_a * d_b < 0:
+            critical.append(_bracketed_root(dphi, a, b, d_a, d_b))
+    return np.union1d(points, critical)
+
+
+def reference_roots_on_pieces(points: np.ndarray, values: np.ndarray, fn, solve_piece):
+    """The numpy ``pd_tolerant._roots_on_pieces``, kept verbatim."""
+    zero = np.abs(values) <= _ROOT_RESIDUAL
+    positive = values > 0.0
+    last = len(points) - 1
+    roots = []
+    starts = np.flatnonzero(zero & ~np.concatenate(([False], zero[:-1])))
+    ends = np.flatnonzero(zero & ~np.concatenate((zero[1:], [False])))
+    for s, e in zip(starts, ends):
+        marginal = bool(0 < s and e < last and positive[s - 1] == positive[e + 1])
+        bracket = (float(points[s]), float(points[e]))
+        for k in (s, e) if e > s else (s,):
+            roots.append(tq.FixedPointRoot(float(points[k]), bracket, abs(float(values[k])), marginal))
+    cells = np.flatnonzero(~zero[:-1] & ~zero[1:] & (positive[:-1] != positive[1:]))
+    inside = [
+        solve_piece(float(points[k]), float(points[k + 1]), float(values[k]), float(values[k + 1]))
+        for k in cells
+    ]
+    if inside:
+        residuals = np.abs(fn(np.array(inside)))
+        for k, root, residual in zip(cells, inside, residuals):
+            roots.append(tq.FixedPointRoot(root, (float(points[k]), float(points[k + 1])), float(residual)))
+    return sorted(roots, key=lambda r: r.alpha_star)
+
+
+def reference_solve_symmetric(p, cdf):
+    """The numpy ``solve_symmetric`` that the plain-float one replaced, kept
+    verbatim but for F, the numpy evaluation of ``reference_cdf``."""
+    points = reference_breakpoints(p, _knots(cdf))
+    F = reference_cdf(cdf)
+
+    def h(alpha):
+        return 1.0 - alpha - F(_gap(p, alpha))
+
+    if isinstance(cdf, tq.TruncatedExponentialCdf):
+        points = np.union1d(points, _texp_minimum(p, cdf))
+        roots = reference_roots_on_pieces(points, h(points), h, partial(_bracketed_root, h))
+    else:
+        roots = reference_roots_on_pieces(points, h(points), h, _line_solver(h))
+    return tq.FixedPointReport(
+        roots=tuple(roots),
+        has_zero_root=F(p.delta_d) >= 1.0 - epsnum(),
+        uniqueness_certified=p.delta_c > p.delta_d,
+        classification="unique" if p.delta_c > p.delta_d else "possibly-multiple",
+    )
+
+
+def reference_solve_asymmetric(p1, p2, cdf1, cdf2):
+    """The numpy ``solve_asymmetric`` that the plain-float one replaced, kept
+    verbatim but for F1 and F2, the numpy evaluations of ``reference_cdf``.
+    Returns the roots of phi, not just the pairs."""
+    knots1, knots2 = _knots(cdf1), _knots(cdf2)
+    F1, F2 = reference_cdf(cdf1), reference_cdf(cdf2)
+
+    def respond1(alpha2):
+        return 1.0 - F1(_gap(p1, alpha2))
+
+    def respond2(alpha1):
+        return 1.0 - F2(_gap(p2, alpha1))
+
+    def phi(alpha1):
+        return respond1(respond2(alpha1)) - alpha1
+
+    points = reference_breakpoints(p2, knots2)
+    targets = reference_linear_crossings(0.0, 1.0, p1.delta_d, p1.delta_c, knots1)
+    if isinstance(cdf2, tq.TruncatedExponentialCdf):
+        # R2 = 1 - u where gap2 is the quantile shift - log1p(-u (1 - e^(-rate cap))) / rate
+        norm = -math.expm1(-cdf2.rate * cdf2.cap)
+        quantiles = cdf2.shift - np.log1p(-(1.0 - targets) * norm) / cdf2.rate
+        preimages = reference_linear_crossings(0.0, 1.0, p2.delta_d, p2.delta_c, quantiles)
+    else:
+        r2 = respond2(points)
+        preimages = reference_linear_crossings(points[:-1], points[1:], r2[:-1], r2[1:], targets)
+    points = np.union1d(points, preimages)
+    if isinstance(cdf1, tq.TruncatedExponentialCdf) or isinstance(cdf2, tq.TruncatedExponentialCdf):
+        points = _reference_with_critical_points(p1, p2, cdf1, cdf2, respond2, points)
+        roots = reference_roots_on_pieces(points, phi(points), phi, partial(_bracketed_root, phi))
+    else:
+        roots = reference_roots_on_pieces(points, phi(points), phi, _line_solver(phi))
+    return roots, [(r.alpha_star, respond2(r.alpha_star)) for r in roots]
 
 
 def reference_quantile_coupling(row_pos, row_cum, col_pos, col_cum):
@@ -556,6 +759,37 @@ def with_light_atoms(rng, dist, floor=0.0):
             placed[spot] = mass
     atoms = sorted(placed)
     return tq.DiscreteToleranceDist(tuple(atoms), tuple(placed[t] for t in atoms))
+
+
+def with_tail_slack(rng, dist):
+    """dist with less than 1e-9 of one atom's mass moved to the atom below,
+    so that a tail comparison can pass by using its slack."""
+    if len(dist.support) < 2:
+        return dist
+    probs = list(dist.probs)
+    i = int(rng.integers(1, len(probs)))
+    mass = min(float(rng.uniform(0.1, 0.999)) * 1e-9, 0.5 * probs[i])
+    probs[i] -= mass
+    probs[i - 1] += mass
+    return tq.DiscreteToleranceDist(dist.support, tuple(probs))
+
+
+def with_light_entries(rng, strategy):
+    """strategy with one to three of its zero entries raised to at most
+    1e-9, each taking its mass from a supported entry.
+
+    The masses are drawn as in ``with_light_atoms``, so two of them together
+    can outweigh 1e-9.  A strategy with no zero entry is returned as it is.
+    """
+    probs = list(strategy.probs)
+    zeros = [s for s, p in enumerate(probs) if p == 0.0]
+    for s in rng.permutation(zeros)[: int(rng.integers(1, 4))]:
+        scale = rng.uniform(0.5, 1.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 0.0)
+        donor = int(rng.choice([i for i, p in enumerate(probs) if p > 1e-9]))
+        mass = min(0.999e-9 * float(scale), 0.5 * probs[donor])
+        probs[donor] -= mass
+        probs[int(s)] = mass
+    return tq.MixedStrategy(tuple(probs))
 
 
 def random_map(rng, dist, n_strategies):
